@@ -33,10 +33,10 @@ immediate re-run skips all completed cells)::
     drr-gossip sweep --experiments table1 forest --ns 256 512 --reps 3 --jobs 4
     drr-gossip sweep --config sweeps/quick.toml --jobs 4
 
-Record where the wall clock goes (phase/primitive/worker telemetry), with a
+Record where the wall clock goes (phase/primitive telemetry), with a
 live heartbeat line and a JSONL event export::
 
-    drr-gossip run --n 100000 --backend sharded --telemetry events.jsonl --heartbeat 5
+    drr-gossip run --n 100000 --telemetry events.jsonl --heartbeat 5
 
 Inspect and export what the store holds::
 
@@ -71,7 +71,7 @@ from ..observability import (
     use_telemetry,
     write_events_jsonl,
 )
-from ..substrate import available_backends
+from ..substrate import available_backends, normalize_backend
 from ..orchestration import (
     EXECUTION_BACKENDS,
     QueueWorker,
@@ -88,6 +88,7 @@ from ..orchestration import (
 )
 from ..orchestration.worker import DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS
 from ..simulator import FailureModel
+from ..simulator.errors import ConfigurationError
 from . import experiments  # noqa: F401  (import registers the drivers)
 from .report import write_json, write_markdown_report, write_markdown_report_from_store
 from .workloads import make_values, workload_names
@@ -101,6 +102,15 @@ DEFAULT_STORE = "results/results.sqlite"
 #: Kept as a plain mapping for backwards compatibility with callers that did
 #: ``from repro.harness.cli import EXPERIMENTS``.
 EXPERIMENTS = {spec.name: spec.driver for spec in load_builtin_experiments()}
+
+
+def _backend_arg(value: str) -> str:
+    """``--backend`` parser: a retired or uninstalled backend gets the
+    registry's reason (what to use instead), not a bare invalid choice."""
+    try:
+        return normalize_backend(value)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,29 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--query", type=float, default=None, help="query value for the rank aggregate")
     run.add_argument(
         "--backend",
+        type=_backend_arg,
         choices=list(available_backends()),
         default="vectorized",
-        help="execution substrate: columnar batches (vectorized), multiprocessing "
-        "shards over shared memory (sharded), numba-jitted primitives (compiled; "
-        "needs the numba extra), or message-level simulation (engine)",
-    )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="P",
-        help="worker processes for the sharded/compiled backends (sharded default: "
-        "REPRO_SHARDS or min(4, cpu count); compiled default: 1, i.e. inline jitted "
-        "loops; rejected by backends without a configure() seam)",
-    )
-    run.add_argument(
-        "--min-batch",
-        type=int,
-        default=None,
-        metavar="K",
-        help="sharded/compiled backends: batches smaller than K run inline in the "
-        "parent (0 forces every batch through the pool; rejected by backends "
-        "without a configure() seam)",
+        help="execution substrate: columnar batches (vectorized), numba-jitted "
+        "primitives (compiled; needs the numba extra), or message-level "
+        "simulation (engine)",
     )
     run.add_argument(
         "--telemetry",
@@ -171,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         const="",
         default=None,
         metavar="FILE",
-        help="record phase/primitive/worker telemetry and print a summary; with "
+        help="record phase/primitive telemetry and print a summary; with "
         "FILE, also export the events as JSONL (one event per line)",
     )
     run.add_argument(
@@ -191,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "backend" in spec.param_names:
             exp.add_argument(
                 "--backend",
+                type=_backend_arg,
                 choices=list(available_backends()),
                 default=None,
                 help="execution substrate for this experiment (recorded in the result parameters)",
@@ -228,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--store", type=str, default=DEFAULT_STORE, help="SQLite result store path")
     sweep.add_argument(
         "--backend",
+        type=_backend_arg,
         choices=list(available_backends()),
         default=None,
         help="execution substrate for every backend-aware experiment in the sweep "
@@ -499,23 +494,6 @@ def _export_events(telemetry_doc: dict, target: str, append: bool) -> None:
 
 
 def _run_single(args: argparse.Namespace) -> int:
-    if args.shards is not None or args.min_batch is not None:
-        from ..substrate import BACKENDS
-
-        # Any backend exposing a configure() seam takes the sharding knobs
-        # (today: sharded and compiled).
-        configure = getattr(BACKENDS.get(args.backend), "configure", None)
-        if configure is None:
-            print(
-                f"error: backend {args.backend!r} takes no --shards/--min-batch",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            configure(shards=args.shards, min_batch=args.min_batch)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     want_telemetry = args.telemetry is not None
     if args.spec is not None:
         try:

@@ -3,7 +3,7 @@
 The headline guarantee under test: a ``RunSpec`` serialised to JSON,
 deserialised, and re-run with the same seed reproduces the original
 ``RunResult`` *exactly* — rounds, per-kind/per-phase/lost message counts,
-and estimates — for every registered protocol on both substrate backends,
+and estimates — for every registered protocol on every substrate backend,
 on reliable and lossy networks.
 """
 
@@ -23,6 +23,7 @@ from repro.orchestration.runner import _execute_cell
 from repro.orchestration.store import param_hash
 from repro.serialization import canonical_json, stable_digest
 from repro.simulator import FailureModel
+from repro.substrate.compiled import python_fallback
 from repro.topology import Topology
 
 #: One representative spec per registered protocol, sized for test speed.
@@ -65,19 +66,20 @@ class TestRoundTripProperty:
         assert set(PROTOCOL_SPECS) == set(protocol_names())
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
-    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
+    @pytest.mark.parametrize("backend", ["vectorized", "engine", "compiled"])
     @pytest.mark.parametrize("failures", FAILURE_MODELS, ids=["reliable", "lossy"])
     def test_json_round_trip_reproduces_run_exactly(self, protocol, backend, failures):
-        spec = _spec_for(protocol, backend, failures)
-        direct = repro.run(spec)
-        revived = RunSpec.from_json(spec.to_json())
-        assert revived == spec
-        replay = repro.run(revived)
-        assert replay.same_outcome(direct)
-        # the envelope itself round-trips too (spec echo included)
-        decoded = repro.api.RunResult.from_json(direct.to_json())
-        assert decoded.same_outcome(direct)
-        assert decoded.spec == spec
+        with python_fallback():  # registers compiled where numba is absent
+            spec = _spec_for(protocol, backend, failures)
+            direct = repro.run(spec)
+            revived = RunSpec.from_json(spec.to_json())
+            assert revived == spec
+            replay = repro.run(revived)
+            assert replay.same_outcome(direct)
+            # the envelope itself round-trips too (spec echo included)
+            decoded = repro.api.RunResult.from_json(direct.to_json())
+            assert decoded.same_outcome(direct)
+            assert decoded.spec == spec
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
     def test_backends_agree_through_the_spec_path(self, protocol):
@@ -89,6 +91,33 @@ class TestRoundTripProperty:
         assert vec.messages == eng.messages
         assert vec.messages_lost == eng.messages_lost
         assert dict(vec.messages_by_kind) == dict(eng.messages_by_kind)
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
+    def test_compiled_agrees_with_vectorized_through_the_spec_path(self, protocol):
+        """``compiled`` overrides vectorized primitives without changing outcomes.
+
+        Float-summing protocols may fold in a different order under the
+        jitted loops, so estimates are compared to within float rounding.
+        """
+        lossy = FailureModel(loss_probability=0.08, crash_fraction=0.05)
+        spec = _spec_for(protocol, "vectorized", lossy)
+        with python_fallback():
+            comp = repro.run(spec.with_backend("compiled"))
+        vec = repro.run(spec)
+        assert comp.spec.backend == "compiled"
+        assert comp.rounds == vec.rounds
+        assert comp.messages == vec.messages
+        assert comp.messages_lost == vec.messages_lost
+        assert dict(comp.messages_by_kind) == dict(vec.messages_by_kind)
+        assert dict(comp.messages_by_phase) == dict(vec.messages_by_phase)
+        assert dict(comp.rounds_by_phase) == dict(vec.rounds_by_phase)
+        assert (comp.estimates is None) == (vec.estimates is None)
+        if vec.estimates is not None:
+            np.testing.assert_allclose(
+                np.asarray(comp.estimates, dtype=float),
+                np.asarray(vec.estimates, dtype=float),
+                rtol=1e-12, equal_nan=True,
+            )
 
 
 class TestSpecValidation:

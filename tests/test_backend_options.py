@@ -1,14 +1,17 @@
-"""Backend registry round-trips and ``RunSpec.backend_options``.
+"""Backend registry round-trips and the retired ``sharded`` backend.
 
-Covers the seams the sharded backend threads through: every registered
-backend name must survive ``RunSpec`` validation, JSON serialisation, and
-``drr-gossip spec validate``; ``backend_options`` must validate, serialise
-only when present (so pre-existing spec hashes are stable), and actually
-configure the kernel during dispatch.  Also covers the opt-in dtype
-narrowing flags of :mod:`repro.substrate.tuning`.
+Every registered backend name must survive ``RunSpec`` validation, JSON
+serialisation, and ``drr-gossip spec validate``.  The removed ``sharded``
+backend and the ``backend_options`` it needed must fail at every entry
+point with the removal pointer (never a traceback or "unknown backend"),
+while specs and stored rows written before the removal keep their
+identities and stay readable.  Also covers the opt-in dtype narrowing
+flags of :mod:`repro.substrate.tuning`.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -17,13 +20,22 @@ import repro
 from repro.api import RunSpec, SpecValidationError
 from repro.core import run_drr
 from repro.harness.cli import main as cli_main
-from repro.substrate import BACKENDS, sample_uniform, shutdown_pools, tuning
+from repro.orchestration import ResultStore
+from repro.serialization import canonical_json
+from repro.substrate import BACKENDS, sample_uniform, tuning
 
 
-@pytest.fixture(autouse=True)
-def close_pools():
-    yield
-    shutdown_pools()
+def _spec_file(tmp_path, backend: str):
+    path = tmp_path / f"{backend}.toml"
+    path.write_text(
+        "[run]\n"
+        'protocol = "drr"\n'
+        f'backend = "{backend}"\n'
+        "seed = 3\n"
+        "[run.params]\n"
+        "n = 64\n"
+    )
+    return path
 
 
 # --------------------------------------------------------------------------- #
@@ -40,15 +52,7 @@ class TestBackendRoundTrip:
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_spec_validate_cli_accepts_every_backend(self, backend, tmp_path, capsys):
-        path = tmp_path / f"{backend}.toml"
-        path.write_text(
-            "[run]\n"
-            'protocol = "drr"\n'
-            f'backend = "{backend}"\n'
-            "seed = 3\n"
-            "[run.params]\n"
-            "n = 64\n"
-        )
+        path = _spec_file(tmp_path, backend)
         assert cli_main(["spec", "validate", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
@@ -58,71 +62,83 @@ class TestBackendRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
-# backend_options validation + serialisation
+# the retired sharded backend and its backend_options
 # --------------------------------------------------------------------------- #
-class TestBackendOptions:
-    def test_sharded_options_validate_and_round_trip(self):
-        spec = RunSpec(
-            protocol="drr",
-            params={"n": 64},
-            backend="sharded",
-            backend_options={"shards": 2, "min_batch": 0},
-        )
-        assert spec.backend_options == {"shards": 2, "min_batch": 0}
-        rebuilt = RunSpec.from_json(spec.to_json())
-        assert rebuilt == spec
-        assert "backend_options" in spec.to_dict()
-        assert "shards=2" in spec.describe()
+_LEGACY_DOC = {"protocol": "drr", "params": {"n": 64}, "seed": 1}
 
-    def test_empty_options_keep_legacy_spec_identity(self):
-        spec = RunSpec(protocol="drr", params={"n": 64}, backend="sharded")
-        assert "backend_options" not in spec.to_dict()
-        # a legacy document without the field parses to the same identity
-        legacy = RunSpec.from_dict(
-            {"protocol": "drr", "params": {"n": 64}, "backend": "sharded", "seed": 1}
-        )
-        assert legacy.spec_hash() == spec.spec_hash()
-        assert legacy.param_hash() == spec.param_hash()
 
-    def test_options_rejected_for_backends_that_take_none(self):
-        with pytest.raises(SpecValidationError, match="takes no backend_options"):
-            RunSpec(protocol="drr", params={"n": 64}, backend="vectorized",
-                    backend_options={"shards": 2})
+class TestRetiredSharded:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RunSpec(protocol="drr", params={"n": 64}, backend="sharded"),
+            lambda: RunSpec.from_dict({**_LEGACY_DOC, "backend": "sharded"}),
+            lambda: RunSpec.from_json(json.dumps({**_LEGACY_DOC, "backend": "sharded"})),
+            lambda: RunSpec.from_dict({**_LEGACY_DOC, "backend_options": {"shards": 2}}),
+            lambda: RunSpec.from_dict(
+                {**_LEGACY_DOC, "backend": "sharded", "backend_options": {"min_batch": 0}}
+            ),
+        ],
+        ids=["constructor", "from_dict", "from_json", "options", "sharded+options"],
+    )
+    def test_spec_fails_with_removal_pointer(self, build):
+        with pytest.raises(SpecValidationError, match="removed") as excinfo:
+            build()
+        assert "vectorized" in str(excinfo.value)
 
-    def test_unknown_and_invalid_option_values_rejected(self):
-        with pytest.raises(SpecValidationError, match="does not accept"):
-            RunSpec(protocol="drr", params={"n": 64}, backend="sharded",
-                    backend_options={"warp": 9})
-        with pytest.raises(SpecValidationError, match="'shards' must be >= 1"):
-            RunSpec(protocol="drr", params={"n": 64}, backend="sharded",
-                    backend_options={"shards": 0})
-        with pytest.raises(SpecValidationError, match="must be an integer"):
-            RunSpec(protocol="drr", params={"n": 64}, backend="sharded",
-                    backend_options={"shards": "many"})
+    @pytest.mark.parametrize("empty", [{}, None])
+    def test_empty_backend_options_keep_spec_identity(self, empty):
+        plain = RunSpec.from_dict(_LEGACY_DOC)
+        legacy = RunSpec.from_dict({**_LEGACY_DOC, "backend_options": empty})
+        assert legacy == plain
+        assert legacy.spec_hash() == plain.spec_hash()
+        assert legacy.param_hash() == plain.param_hash()
+        assert "backend_options" not in legacy.to_dict()
 
-    def test_with_backend_drops_inapplicable_options(self):
-        spec = RunSpec(protocol="drr", params={"n": 64}, backend="sharded",
-                       backend_options={"shards": 4})
-        engine = spec.with_backend("engine")
-        assert engine.backend == "engine"
-        assert engine.backend_options == {}
-        back = engine.with_backend("sharded")
-        assert back.backend_options == {}
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "64", "--backend", "sharded"],
+            ["sweep", "--experiments", "table1", "--backend", "sharded"],
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_cli_backend_flag_fails_with_removal_pointer(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "removed" in err and "vectorized" in err
 
-    def test_dispatch_applies_options_and_matches_vectorized(self):
-        spec = RunSpec(
-            protocol="drr",
-            params={"n": 512},
-            backend="sharded",
-            backend_options={"shards": 2, "min_batch": 0},
-            seed=11,
-        )
-        sharded_result = repro.run(spec)
-        vectorized_result = repro.run(spec.with_backend("vectorized"))
-        assert sharded_result.same_outcome(vectorized_result)
-        # options are scoped to the run: the kernel's defaults are restored
-        kernel = BACKENDS["sharded"]
-        assert kernel.min_batch != 0
+    def test_spec_validate_cli_fails_with_removal_pointer(self, tmp_path, capsys):
+        assert cli_main(["spec", "validate", str(_spec_file(tmp_path, "sharded"))]) != 0
+        captured = capsys.readouterr()
+        assert "removed" in captured.out + captured.err
+
+    def test_stored_sharded_rows_stay_readable(self, tmp_path, capsys):
+        """A row stored for a sharded spec (as sweeps wrote them) still lists."""
+        envelope = repro.run(RunSpec.from_dict(_LEGACY_DOC))
+        doc = {**envelope.spec.to_dict(), "backend": "sharded", "backend_options": {"shards": 2}}
+        store_path = tmp_path / "legacy.sqlite"
+        with ResultStore(store_path) as store:
+            store.record_result(
+                "run:drr",
+                {k: v for k, v in doc.items() if k != "seed"},
+                doc["seed"],
+                envelope.to_experiment_result(),
+                spec_json=canonical_json(doc),
+                result_json=json.dumps({**envelope.to_dict(), "spec": doc}),
+            )
+        assert cli_main(["results", "--store", str(store_path)]) == 0
+        listing = capsys.readouterr().out
+        assert "run:drr" in listing and "sharded" in listing
+        dump = tmp_path / "dump.json"
+        report = tmp_path / "report.md"
+        assert cli_main(
+            ["results", "--store", str(store_path), "--json", str(dump), "--markdown", str(report)]
+        ) == 0
+        assert "sharded" in dump.read_text()
+        assert report.exists()
 
 
 # --------------------------------------------------------------------------- #

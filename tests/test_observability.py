@@ -16,13 +16,12 @@ import logging
 import sqlite3
 import time
 
-import numpy as np
 import pytest
 
 import repro
 from repro import RunSpec
 from repro.api import RunResult
-from repro.core import DRRGossipConfig, drr_gossip_average, run_drr
+from repro.core import run_drr
 from repro.observability import (
     NULL_TELEMETRY,
     Heartbeat,
@@ -42,15 +41,9 @@ from repro.orchestration import ResultStore, SweepRunner, cells_from_run_specs
 from repro.simulator import FailureModel
 from repro.simulator.errors import ConfigurationError
 from repro.simulator.trace import Tracer
-from repro.substrate import BACKENDS, shutdown_pools
+from repro.substrate.compiled import python_fallback
 
 from test_api import FAILURE_MODELS, PROTOCOL_SPECS
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _shutdown_pools_after_module():
-    yield
-    shutdown_pools()
 
 
 def _spec_for(
@@ -61,18 +54,12 @@ def _spec_for(
     telemetry: bool = False,
 ) -> RunSpec:
     base = PROTOCOL_SPECS[protocol]
-    backend_options = {}
-    if backend == "sharded":
-        # Small specs run inline below min_batch; the pool path is covered
-        # by TestShardedTelemetry (min_batch=0 forces every batch through).
-        backend_options = {"shards": 2}
     return RunSpec(
         protocol=protocol,
         params=base.get("params", {}),
         topology=base.get("topology"),
         failures=failures,
         backend=backend,
-        backend_options=backend_options,
         seed=seed,
         telemetry=telemetry,
     )
@@ -187,20 +174,6 @@ class TestTelemetry:
         assert snap["rounds"] == 1
         assert snap["elapsed_s"] >= 0.0
 
-    def test_record_pool_round_accounting(self):
-        tel = Telemetry()
-        tel.record_pool_round([0.2, 0.5], wall_s=0.6)
-        tel.record_pool_round([0.3, 0.1], wall_s=0.35)
-        doc = tel.as_dict()["sharded"]
-        assert doc["pool_rounds"] == 2
-        workers = doc["workers"]
-        assert workers["0"]["busy_s"] == pytest.approx(0.5)
-        assert workers["1"]["busy_s"] == pytest.approx(0.6)
-        # barrier wait = slowest - own, accumulated
-        assert workers["0"]["barrier_wait_s"] == pytest.approx(0.3)
-        assert workers["1"]["barrier_wait_s"] == pytest.approx(0.2)
-        assert doc["parent_overhead_s"] == pytest.approx(0.15)
-
     def test_use_telemetry_installs_and_restores(self):
         assert current_telemetry() is NULL_TELEMETRY
         tel = Telemetry()
@@ -231,11 +204,11 @@ class TestTelemetry:
     def test_format_telemetry_summary(self):
         tel = Telemetry()
         tel.phase_begin("drr")
-        tel.count("sharded.inline.small_batch", 4)
+        tel.count("unit.events", 4)
         text = format_telemetry(tel.as_dict())
         assert "telemetry" in text
         assert "phase drr" in text
-        assert "sharded.inline.small_batch" in text
+        assert "unit.events" in text
         assert format_telemetry({}) == "(no telemetry recorded)"
 
 
@@ -244,11 +217,12 @@ class TestTelemetry:
 # --------------------------------------------------------------------------- #
 class TestTelemetryNeutrality:
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
-    @pytest.mark.parametrize("backend", ["vectorized", "sharded", "engine"])
+    @pytest.mark.parametrize("backend", ["vectorized", "compiled", "engine"])
     @pytest.mark.parametrize("failures", FAILURE_MODELS, ids=["reliable", "lossy"])
     def test_same_seed_outcome_identical_with_telemetry_on(self, protocol, backend, failures):
-        plain = repro.run(_spec_for(protocol, backend, failures))
-        traced = repro.run(_spec_for(protocol, backend, failures, telemetry=True))
+        with python_fallback():  # registers compiled where numba is absent
+            plain = repro.run(_spec_for(protocol, backend, failures))
+            traced = repro.run(_spec_for(protocol, backend, failures, telemetry=True))
         assert traced.same_outcome(plain)
         assert plain.telemetry is None
         assert traced.telemetry is not None
@@ -286,66 +260,14 @@ class TestTelemetryNeutrality:
 
 
 # --------------------------------------------------------------------------- #
-# sharded pool telemetry
-# --------------------------------------------------------------------------- #
-class TestShardedTelemetry:
-    def _run(self, failure_model=None, telemetry=True):
-        kernel = BACKENDS["sharded"]
-        tel = Telemetry() if telemetry else None
-        config = DRRGossipConfig(backend="sharded", failure_model=failure_model)
-        values = np.random.default_rng(0).uniform(0.0, 100.0, size=2000)
-        with kernel.options(shards=2, min_batch=0):
-            if tel is not None:
-                with use_telemetry(tel):
-                    result = drr_gossip_average(values, rng=1, config=config)
-            else:
-                result = drr_gossip_average(values, rng=1, config=config)
-        return result, (tel.as_dict() if tel is not None else None)
-
-    def test_pool_run_reports_worker_busy_and_barrier_wait(self):
-        result, doc = self._run()
-        sharded = doc["sharded"]
-        assert sharded["pool_rounds"] > 0
-        assert set(sharded["workers"]) == {"0", "1"}
-        for worker in sharded["workers"].values():
-            assert worker["busy_s"] >= 0.0
-            assert worker["barrier_wait_s"] >= 0.0
-        assert sharded["parent_overhead_s"] >= 0.0
-        assert doc["counters"]["sharded.mirror_bytes"] > 0
-        assert doc["gauges"]["sharded.arena_bytes"] > 0
-        # telemetry through the pool is outcome-neutral too
-        plain, _ = self._run(telemetry=False)
-        assert result.rounds == plain.rounds
-        assert result.messages == plain.messages
-        assert np.array_equal(result.estimates, plain.estimates)
-
-    def test_lossy_relay_runs_pooled_with_no_inline_counters(self):
-        # The lossy Phase III relay shards (two barriers, cross-shard
-        # occurrence-rank merge): with min_batch=0 nothing falls back
-        # inline, so no ``sharded.inline.*`` counter may fire.
-        result, doc = self._run(failure_model=FailureModel(loss_probability=0.05))
-        inline = [name for name in doc["counters"] if name.startswith("sharded.inline.")]
-        assert inline == []
-        assert doc["sharded"]["pool_rounds"] > 0
-
-    def test_small_batches_are_counted_when_min_batch_gates(self):
-        kernel = BACKENDS["sharded"]
-        tel = Telemetry()
-        values = np.random.default_rng(0).uniform(0.0, 100.0, size=500)
-        with kernel.options(shards=2, min_batch=10_000):
-            with use_telemetry(tel):
-                drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="sharded"))
-        assert tel.as_dict()["counters"]["sharded.inline.small_batch"] > 0
-
-
-# --------------------------------------------------------------------------- #
 # tracing stays engine-only
 # --------------------------------------------------------------------------- #
 class TestTracerEngineOnly:
-    @pytest.mark.parametrize("backend", ["vectorized", "sharded"])
+    @pytest.mark.parametrize("backend", ["vectorized", "compiled"])
     def test_columnar_backends_reject_an_enabled_tracer(self, backend):
-        with pytest.raises(ConfigurationError, match="tracing is engine-only") as excinfo:
-            run_drr(64, rng=1, backend=backend, tracer=Tracer())
+        with python_fallback():
+            with pytest.raises(ConfigurationError, match="tracing is engine-only") as excinfo:
+                run_drr(64, rng=1, backend=backend, tracer=Tracer())
         # the error points at telemetry as the columnar alternative
         assert "telemetry" in str(excinfo.value)
 
@@ -362,6 +284,30 @@ class TestTracerEngineOnly:
 
 
 # --------------------------------------------------------------------------- #
+# compiled overrides report under their own span names
+# --------------------------------------------------------------------------- #
+class TestCompiledTelemetry:
+    COMPILED_SPANS = {
+        "compiled.deliver", "compiled.probe_exchange", "compiled.relay", "compiled.fold_pushes",
+    }
+
+    @pytest.mark.parametrize("failures", FAILURE_MODELS, ids=["reliable", "lossy"])
+    def test_compiled_run_records_override_spans(self, failures):
+        with python_fallback():
+            result = repro.run(_spec_for("drr-gossip", "compiled", failures, telemetry=True))
+        spans = result.telemetry["spans"]
+        for name in self.COMPILED_SPANS:
+            assert spans[name]["count"] > 0, name
+            assert spans[name]["total_s"] >= 0.0
+
+    def test_vectorized_run_records_no_compiled_spans(self):
+        result = repro.run(_spec_for("drr-gossip", "vectorized", FAILURE_MODELS[1], telemetry=True))
+        spans = result.telemetry["spans"]
+        assert spans["substrate.deliver"]["count"] > 0
+        assert not self.COMPILED_SPANS & set(spans)
+
+
+# --------------------------------------------------------------------------- #
 # JSONL event export
 # --------------------------------------------------------------------------- #
 EVENT_REQUIRED_KEYS = {
@@ -371,7 +317,6 @@ EVENT_REQUIRED_KEYS = {
     "span": {"name", "count", "total_s"},
     "counter": {"name", "value"},
     "gauge": {"name", "value"},
-    "worker": {"index", "busy_s", "barrier_wait_s"},
 }
 
 
@@ -394,14 +339,6 @@ class TestJsonlExport:
             assert event["event"] in EVENT_REQUIRED_KEYS
             missing = EVENT_REQUIRED_KEYS[event["event"]] - event.keys()
             assert not missing, f"{event['event']} event missing {missing}"
-
-    def test_worker_events_from_a_pool_document(self):
-        tel = Telemetry()
-        tel.record_pool_round([0.1, 0.2], wall_s=0.25)
-        events = list(events_from_telemetry(tel.as_dict()))
-        workers = [e for e in events if e["event"] == "worker"]
-        assert [w["index"] for w in workers] == [0, 1]
-        assert all(w["pool_rounds"] == 1 for w in workers)
 
     def test_write_and_append_jsonl(self, tmp_path):
         doc = self._doc()

@@ -242,6 +242,14 @@ class TestRouter:
             )
             assert status == 400
             assert "unknown keys" in doc["error"]
+            # the retired backend and its options: 400 + the removal pointer
+            for retired in (
+                {**_spec_doc(), "backend": "sharded"},
+                {**_spec_doc(), "backend_options": {"shards": 2}},
+            ):
+                status, doc = router.route("POST", "/v1/runs", retired)
+                assert status == 400
+                assert "removed" in doc["error"] and "vectorized" in doc["error"]
             assert router.route("GET", f"/v1/runs/{'ab' * 8}", None)[0] == 404
             assert router.route("GET", "/v1/nope", None)[0] == 404
             assert router.route("DELETE", "/v1/runs", None)[0] == 405

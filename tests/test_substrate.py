@@ -1,7 +1,7 @@
 """Backend-equivalence guarantees of the execution substrate.
 
 The substrate's contract (see ``repro/substrate/kernel.py``): the columnar
-``vectorized`` kernel, the multiprocessing ``sharded`` kernel, and the
+``vectorized`` kernel, the numba-jitted ``compiled`` kernel, and the
 message-level ``engine`` kernel consume the shared RNG stream in the same
 order, decide per-transmission loss through the identity-keyed loss oracle,
 and charge messages through the same accounting conventions.  For every
@@ -10,10 +10,10 @@ counts (total, per kind, per phase, lost), and estimates for the same seed —
 on reliable *and* lossy networks (``FailureModel`` with loss probability
 > 0), with and without initial crashes.
 
-The ``sharded`` backend runs these tests with ``min_batch=0`` and two
-workers (the :func:`sharded_workers` fixture), so every delivery, probe
-exchange, and reliable relay actually crosses the shared-memory worker
-pool rather than falling back to the inline path.
+The ``compiled`` backend runs in every matrix test (the
+:func:`compiled_backend` fixture): through its jitted loops wherever numba
+is installed, through its pure-NumPy fallbacks (the
+``REPRO_COMPILED_PYTHON`` mode) everywhere else.
 
 Float caveat: protocols that *sum* floats (convergecast-sum, gossip-ave,
 push-sum mass arriving over two hops) may fold concurrent contributions in
@@ -59,11 +59,10 @@ from repro.substrate import (
     get_kernel,
     normalize_backend,
     occurrence_index,
-    probe_exchange,
     run_chord_lookups,
     run_on,
 )
-from repro.substrate.sharded import ShardedKernel, shutdown_pools
+from repro.substrate.compiled import python_fallback
 from repro.topology import ChordNetwork, grid_graph, make_graph
 
 #: The failure models every equivalence assertion runs under: reliable,
@@ -98,29 +97,16 @@ CRASH_ONLY_CHURN = FailureModel(
     churn_schedule=((5, (3, 9), "crash"),),
 )
 
-#: The backends measured against the ``engine`` fidelity reference.  With
-#: numba installed, ``compiled`` registers itself and the matrix is
-#: four-way; without it the backend appears in the *parametrized* tests as
-#: an explicitly skipped param, so the gap is visible in the test report
-#: rather than silent.  (In-test loops iterate FAST_BACKENDS, which only
-#: ever holds registered names.)
-FAST_BACKENDS = [name for name in available_backends() if name != "engine"]
-FAST_BACKEND_PARAMS: list = list(FAST_BACKENDS)
-if "compiled" not in FAST_BACKENDS:
-    from repro.substrate.compiled import NUMBA_REQUIREMENT
-
-    FAST_BACKEND_PARAMS.append(
-        pytest.param("compiled", marks=pytest.mark.skip(reason=NUMBA_REQUIREMENT))
-    )
+#: The backends measured against the ``engine`` fidelity reference: the
+#: matrix is three-way on every machine (see :func:`compiled_backend`).
+FAST_BACKENDS = ["vectorized", "compiled"]
 
 
 @pytest.fixture(scope="module")
-def sharded_workers():
-    """Force every sharded batch through a real two-worker pool."""
-    kernel = BACKENDS["sharded"]
-    with kernel.options(shards=2, min_batch=0):
+def compiled_backend():
+    """Register ``compiled`` for the matrix (pure-NumPy fallbacks without numba)."""
+    with python_fallback() as kernel:
         yield kernel
-    shutdown_pools()
 
 
 def assert_metrics_identical(a: MetricsCollector, b: MetricsCollector) -> None:
@@ -141,17 +127,15 @@ class TestBackendRegistry:
     def test_available_backends(self):
         from repro.substrate import NUMBA_AVAILABLE
 
-        expected = ("vectorized", "engine", "sharded")
+        expected = ("vectorized", "engine")
         if NUMBA_AVAILABLE:
-            expected = ("vectorized", "compiled", "engine", "sharded")
+            expected = ("vectorized", "compiled", "engine")
         assert available_backends() == expected
 
     def test_normalize_accepts_names_and_kernels(self):
         assert normalize_backend(None) == "vectorized"
         assert normalize_backend("ENGINE ".strip().upper().lower()) == "engine"
         assert normalize_backend(get_kernel("engine")) == "engine"
-        assert normalize_backend("sharded") == "sharded"
-        assert isinstance(get_kernel("sharded"), ShardedKernel)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(Exception, match="unknown substrate backend"):
@@ -169,15 +153,18 @@ class TestBackendRegistry:
         assert picked == "engine"
         picked = run_on(None, vectorized=lambda k: k.name, engine=lambda k: k.name)
         assert picked == "vectorized"
-        # sharded is a VectorizedKernel subclass: it takes the columnar path
-        picked = run_on("sharded", vectorized=lambda k: k.name, engine=lambda k: k.name)
-        assert picked == "sharded"
+
+    def test_run_on_takes_the_columnar_path_for_compiled(self, compiled_backend):
+        # compiled is a VectorizedKernel subclass: it takes the columnar path
+        picked = run_on("compiled", vectorized=lambda k: k.name, engine=lambda k: k.name)
+        assert picked == "compiled"
 
     def test_config_normalises_backend(self):
         assert DRRGossipConfig(backend="engine").backend == "engine"
-        assert DRRGossipConfig(backend="sharded").backend == "sharded"
         with pytest.raises(Exception):
             DRRGossipConfig(backend="nope")
+        with pytest.raises(Exception, match="removed"):
+            DRRGossipConfig(backend="sharded")
 
 
 # --------------------------------------------------------------------------- #
@@ -308,59 +295,68 @@ class TestDeliveryParity:
 
 
 # --------------------------------------------------------------------------- #
-# the sharded worker pool vs the inline primitives
+# compiled primitive overrides vs the shared NumPy primitives
 # --------------------------------------------------------------------------- #
-class TestShardedPrimitives:
-    """The pooled ops must reproduce the inline primitives bit-for-bit."""
+class TestCompiledPrimitives:
+    """``compiled``'s deliver/probe/relay overrides reproduce the NumPy ones.
 
+    Fates and every metrics counter (including dead-target charges) must
+    match bit-for-bit; with numba installed this pins the jitted loops.
+    """
+
+    @pytest.mark.parametrize("crashes", [False, True], ids=["all-alive", "crashes"])
     @pytest.mark.parametrize("delta", [0.0, 0.3], ids=["reliable", "lossy"])
-    def test_pooled_deliver_matches_inline(self, sharded_workers, delta):
+    def test_deliver_matches_deliver_batch(self, compiled_backend, delta, crashes):
         oracle = LossOracle(delta, key=777)
         rng = np.random.default_rng(3)
         n = 300
         targets = rng.integers(0, n, size=n)
         senders = rng.integers(0, n, size=n)
-        alive = rng.random(n) > 0.2
-        inline_metrics = MetricsCollector(n=n)
-        inline = deliver_batch(
-            inline_metrics, oracle, "data", targets,
-            senders=senders, round_index=5, alive=alive,
+        alive = (rng.random(n) > 0.2) if crashes else None
+        reference_metrics = MetricsCollector(n=n)
+        reference = deliver_batch(
+            reference_metrics, oracle, "data", targets,
+            senders=senders, round_index=5, alive=alive, dead_targets=crashes,
         )
-        pooled_metrics = MetricsCollector(n=n)
-        pooled = sharded_workers.deliver(
-            pooled_metrics, oracle, "data", targets,
-            senders=senders, round_index=5, alive=alive,
+        compiled_metrics = MetricsCollector(n=n)
+        compiled = compiled_backend.deliver(
+            compiled_metrics, oracle, "data", targets,
+            senders=senders, round_index=5, alive=alive, dead_targets=crashes,
         )
-        assert np.array_equal(inline, pooled)
-        assert_metrics_identical(inline_metrics, pooled_metrics)
+        assert np.array_equal(reference, compiled)
+        assert_metrics_identical(reference_metrics, compiled_metrics)
 
+    @pytest.mark.parametrize("crashes", [False, True], ids=["all-alive", "crashes"])
     @pytest.mark.parametrize("delta", [0.0, 0.3], ids=["reliable", "lossy"])
-    def test_pooled_probe_exchange_matches_inline(self, sharded_workers, delta):
+    def test_probe_exchange_matches_numpy(self, compiled_backend, delta, crashes):
+        from repro.substrate.delivery import probe_exchange
+
         oracle = LossOracle(delta, key=55)
         rng = np.random.default_rng(4)
         n = 400
         senders = np.arange(n, dtype=np.int64)
         targets = rng.integers(0, n, size=n)
         ranks = rng.random(n)
-        alive = rng.random(n) > 0.1
-        inline_metrics = MetricsCollector(n=n)
-        inline = probe_exchange(
-            inline_metrics, oracle, targets,
+        alive = (rng.random(n) > 0.1) if crashes else None
+        reference_metrics = MetricsCollector(n=n)
+        reference = probe_exchange(
+            reference_metrics, oracle, targets,
             senders=senders, ranks=ranks, round_index=2, alive=alive,
         )
-        pooled_metrics = MetricsCollector(n=n)
-        pooled = sharded_workers.probe_exchange(
-            pooled_metrics, oracle, targets,
+        compiled_metrics = MetricsCollector(n=n)
+        compiled = compiled_backend.probe_exchange(
+            compiled_metrics, oracle, targets,
             senders=senders, ranks=ranks, round_index=2, alive=alive,
         )
-        assert np.array_equal(inline, pooled)
-        assert_metrics_identical(inline_metrics, pooled_metrics)
+        assert np.array_equal(reference, compiled)
+        assert_metrics_identical(reference_metrics, compiled_metrics)
 
     @pytest.mark.parametrize("crashes", [False, True], ids=["all-alive", "crashes"])
-    def test_pooled_relay_matches_inline(self, sharded_workers, crashes):
+    @pytest.mark.parametrize("delta", [0.0, 0.3], ids=["reliable", "lossy"])
+    def test_relay_matches_relay_to_roots(self, compiled_backend, delta, crashes):
         from repro.substrate.delivery import relay_to_roots
 
-        oracle = LossOracle(0.0)
+        oracle = LossOracle(delta, key=91)
         rng = np.random.default_rng(5)
         n, m = 500, 40
         roots = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
@@ -370,18 +366,20 @@ class TestShardedPrimitives:
         root_of[rng.random(n) < 0.1] = -1
         alive = (rng.random(n) > 0.15) if crashes else None
         targets = rng.integers(0, n, size=m)
-        inline_metrics = MetricsCollector(n=n)
-        inline = relay_to_roots(
-            inline_metrics, oracle, targets, senders=roots, round_index=1,
+        reference_metrics = MetricsCollector(n=n)
+        reference = relay_to_roots(
+            reference_metrics, oracle, targets, senders=roots, round_index=1,
             kind="gossip", position=position, root_of=root_of, alive=alive,
+            dead_targets=crashes,
         )
-        pooled_metrics = MetricsCollector(n=n)
-        pooled = sharded_workers.relay_to_roots(
-            pooled_metrics, oracle, targets, senders=roots, round_index=1,
+        compiled_metrics = MetricsCollector(n=n)
+        compiled = compiled_backend.relay_to_roots(
+            compiled_metrics, oracle, targets, senders=roots, round_index=1,
             kind="gossip", position=position, root_of=root_of, alive=alive,
+            dead_targets=crashes,
         )
-        assert np.array_equal(inline, pooled)
-        assert_metrics_identical(inline_metrics, pooled_metrics)
+        assert np.array_equal(reference, compiled)
+        assert_metrics_identical(reference_metrics, compiled_metrics)
 
 
 # --------------------------------------------------------------------------- #
@@ -406,10 +404,10 @@ def forest_inputs(request):
 
 
 class TestPhaseEquivalence:
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_drr_identical(self, seed, fm, backend, sharded_workers):
+    def test_drr_identical(self, seed, fm, backend, compiled_backend):
         fast = run_drr(256, rng=seed, failure_model=fm, backend=backend)
         engine = run_drr(256, rng=seed, failure_model=fm, backend="engine")
         assert np.array_equal(fast.forest.parent, engine.forest.parent)
@@ -419,9 +417,9 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("op", ["max", "min", "sum"])
-    def test_convergecast_identical(self, forest_inputs, op, backend, sharded_workers):
+    def test_convergecast_identical(self, forest_inputs, op, backend, compiled_backend):
         fm, drr, values, _ = forest_inputs
         fast = run_convergecast(drr, values, op=op, failure_model=fm, rng=1, backend=backend)
         engine = run_convergecast(drr, values, op=op, failure_model=fm, rng=1, backend="engine")
@@ -432,8 +430,8 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
-    def test_broadcast_identical(self, forest_inputs, backend, sharded_workers):
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_broadcast_identical(self, forest_inputs, backend, compiled_backend):
         fm, drr, _, _ = forest_inputs
         alive = drr.forest.alive
         payload = {int(r): float(r) * 3.0 for r in drr.forest.roots if alive[r]}
@@ -444,7 +442,7 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_gossip_max_identical(self, forest_inputs, sharded_workers):
+    def test_gossip_max_identical(self, forest_inputs, compiled_backend):
         fm, drr, values, root_of = forest_inputs
         alive = drr.forest.alive
         roots = np.array([r for r in drr.forest.roots if alive[r]], dtype=np.int64)
@@ -465,7 +463,7 @@ class TestPhaseEquivalence:
             )
             assert_metrics_identical(collectors[backend], collectors["engine"])
 
-    def test_gossip_ave_identical(self, forest_inputs, sharded_workers):
+    def test_gossip_ave_identical(self, forest_inputs, compiled_backend):
         fm, drr, values, root_of = forest_inputs
         alive = drr.forest.alive
         roots = np.array([r for r in drr.forest.roots if alive[r]], dtype=np.int64)
@@ -494,7 +492,7 @@ class TestPhaseEquivalence:
             assert np.allclose(fast.history, engine.history, rtol=1e-9, equal_nan=True)
             assert_metrics_identical(collectors[backend], collectors["engine"])
 
-    def test_data_spread_identical(self, forest_inputs, sharded_workers):
+    def test_data_spread_identical(self, forest_inputs, compiled_backend):
         fm, drr, _, root_of = forest_inputs
         alive = drr.forest.alive
         roots = np.array([r for r in drr.forest.roots if alive[r]], dtype=np.int64)
@@ -516,10 +514,10 @@ class TestPhaseEquivalence:
 # the topology kernel: Local-DRR and Chord lookups
 # --------------------------------------------------------------------------- #
 class TestTopologyKernelEquivalence:
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("family", ["grid", "regular4"])
-    def test_local_drr_identical(self, family, fm, backend, sharded_workers):
+    def test_local_drr_identical(self, family, fm, backend, compiled_backend):
         topo = make_graph(family, 144, np.random.default_rng(1))
         fast = run_local_drr(topo, rng=7, failure_model=fm, backend=backend)
         engine = run_local_drr(topo, rng=7, failure_model=fm, backend="engine")
@@ -537,9 +535,9 @@ class TestTopologyKernelEquivalence:
         engine = run_local_drr(topo, rng=5, ranks=ranks, backend="engine")
         assert np.array_equal(fast.forest.parent, engine.forest.parent)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("delta", [0.0, 0.25], ids=["reliable", "lossy"])
-    def test_chord_lookups_identical(self, delta, backend, sharded_workers):
+    def test_chord_lookups_identical(self, delta, backend, compiled_backend):
         fm = FailureModel(loss_probability=delta)
         rng = np.random.default_rng(3)
         chord = ChordNetwork(128, rng)
@@ -576,7 +574,7 @@ class TestTopologyKernelEquivalence:
         assert batch.messages == int(batch.hops.sum())
 
     @pytest.mark.parametrize("delta", [0.0, 0.25], ids=["reliable", "lossy"])
-    def test_chord_reply_batching_identical(self, delta):
+    def test_chord_reply_batching_identical(self, delta, compiled_backend):
         """count_reply charges the reply leg identically on every backend."""
         fm = FailureModel(loss_probability=delta)
         rng = np.random.default_rng(6)
@@ -643,7 +641,7 @@ class TestPipelineEquivalence:
         [Aggregate.MAX, Aggregate.MIN, Aggregate.AVERAGE, Aggregate.SUM, Aggregate.COUNT, Aggregate.RANK],
     )
     def test_every_aggregate_identical_across_backends(
-        self, aggregate, small_values, sharded_workers
+        self, aggregate, small_values, compiled_backend
     ):
         runs = {
             backend: drr_gossip(
@@ -661,7 +659,7 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("fm", FAILURE_MODELS[1:], ids=FM_IDS[1:])
     @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.AVERAGE])
     def test_pipeline_identical_under_failures(
-        self, aggregate, fm, small_values, sharded_workers
+        self, aggregate, fm, small_values, compiled_backend
     ):
         runs = {
             backend: drr_gossip(
@@ -673,7 +671,7 @@ class TestPipelineEquivalence:
         for backend in FAST_BACKENDS:
             self.assert_pipeline_matches(runs[backend], runs["engine"], aggregate)
 
-    def test_pipeline_identical_under_crashes(self, small_values, sharded_workers):
+    def test_pipeline_identical_under_crashes(self, small_values, compiled_backend):
         fm = FailureModel(crash_fraction=0.15)
         runs = {
             backend: drr_gossip(
@@ -689,10 +687,10 @@ class TestPipelineEquivalence:
 # --------------------------------------------------------------------------- #
 # baselines
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+@pytest.mark.parametrize("backend", FAST_BACKENDS)
 @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
 class TestBaselineEquivalence:
-    def test_push_sum_identical(self, fm, backend, sharded_workers):
+    def test_push_sum_identical(self, fm, backend, compiled_backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
         fast = push_sum(values, rng=4, failure_model=fm, backend=backend)
         engine = push_sum(values, rng=4, failure_model=fm, backend="engine")
@@ -700,7 +698,7 @@ class TestBaselineEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_push_max_identical_including_oracle_stop(self, fm, backend, sharded_workers):
+    def test_push_max_identical_including_oracle_stop(self, fm, backend, compiled_backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
         for stop in (False, True):
             fast = push_max(values, rng=6, failure_model=fm, stop_when_converged=stop, backend=backend)
@@ -709,7 +707,7 @@ class TestBaselineEquivalence:
             assert fast.rounds == engine.rounds
             assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_rumor_protocols_identical(self, fm, backend, sharded_workers):
+    def test_rumor_protocols_identical(self, fm, backend, compiled_backend):
         if fm.crash_fraction:
             pytest.skip("rumor protocols ignore initial crashes by design")
         for fn in (push_rumor, push_pull_rumor):
@@ -719,7 +717,7 @@ class TestBaselineEquivalence:
             assert fast.rounds == engine.rounds
             assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_flooding_identical(self, fm, backend, sharded_workers):
+    def test_flooding_identical(self, fm, backend, compiled_backend):
         if fm.crash_fraction:
             pytest.skip("flooding ignores initial crashes by design")
         topology = grid_graph(144)
@@ -730,7 +728,7 @@ class TestBaselineEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_efficient_gossip_identical(self, fm, backend, sharded_workers):
+    def test_efficient_gossip_identical(self, fm, backend, compiled_backend):
         for aggregate in (Aggregate.AVERAGE, Aggregate.MAX):
             values = np.random.default_rng(3).uniform(0, 10, size=400)
             fast = efficient_gossip(values, aggregate, rng=12, failure_model=fm, backend=backend)
@@ -755,9 +753,9 @@ class TestChurnEquivalence:
     mask — and everything downstream of it — is the same on every backend.
     """
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_push_sum_four_way(self, fm, backend, sharded_workers):
+    def test_push_sum_four_way(self, fm, backend, compiled_backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
         fast = push_sum(values, rng=4, failure_model=fm, backend=backend)
         engine = push_sum(values, rng=4, failure_model=fm, backend="engine")
@@ -770,9 +768,9 @@ class TestChurnEquivalence:
         else:
             assert fast.metrics.total_messages_to_dead == 0
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_push_max_four_way(self, fm, backend, sharded_workers):
+    def test_push_max_four_way(self, fm, backend, compiled_backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
         fast = push_max(values, rng=6, failure_model=fm, backend=backend)
         engine = push_max(values, rng=6, failure_model=fm, backend="engine")
@@ -781,9 +779,9 @@ class TestChurnEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_epoch_gossip_four_way(self, fm, backend, sharded_workers):
+    def test_epoch_gossip_four_way(self, fm, backend, compiled_backend):
         from repro.baselines import epoch_gossip_ave
 
         values = np.random.default_rng(5).normal(8.0, 3.0, size=300)
@@ -800,9 +798,9 @@ class TestChurnEquivalence:
         assert fast.epoch_survivors == engine.epoch_survivors
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_epoch_gossip_graph_four_way(self, fm, backend, sharded_workers):
+    def test_epoch_gossip_graph_four_way(self, fm, backend, compiled_backend):
         from repro.baselines import epoch_gossip_ave
 
         topology = grid_graph(144)
@@ -821,7 +819,7 @@ class TestChurnEquivalence:
         assert_metrics_identical(fast.metrics, engine.metrics)
 
     @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.AVERAGE, Aggregate.COUNT])
-    def test_drr_gossip_pipeline_under_churn(self, aggregate, small_values, sharded_workers):
+    def test_drr_gossip_pipeline_under_churn(self, aggregate, small_values, compiled_backend):
         """The full pipeline (crash-only churn) agrees across all backends."""
         runs = {
             backend: drr_gossip(
