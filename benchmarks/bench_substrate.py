@@ -61,19 +61,20 @@ BENCH_ROWS: list[dict] = []
 
 def record(bench: str, *, protocol: str, n: int, backend: str, wall_s: float,
            shards: int | None = None, messages: int | None = None,
-           rounds: int | None = None) -> None:
-    BENCH_ROWS.append(
-        {
-            "bench": bench,
-            "protocol": protocol,
-            "n": int(n),
-            "backend": backend,
-            "shards": shards,
-            "wall_s": float(wall_s),
-            "messages": messages,
-            "rounds": rounds,
-        }
-    )
+           rounds: int | None = None, phases: dict[str, float] | None = None) -> None:
+    row = {
+        "bench": bench,
+        "protocol": protocol,
+        "n": int(n),
+        "backend": backend,
+        "shards": shards,
+        "wall_s": float(wall_s),
+        "messages": messages,
+        "rounds": rounds,
+    }
+    if phases is not None:
+        row["phases"] = phases
+    BENCH_ROWS.append(row)
 
 
 # --------------------------------------------------------------------------- #
@@ -337,18 +338,33 @@ def smoke_local_drr_scale(n: int, budget_s: float = 9.0) -> bool:
 
 
 def smoke_scale(n: int) -> bool:
-    """A full DRR-gossip-average run must complete at scale, vectorized."""
+    """A full DRR-gossip-average run must complete at scale, vectorized.
+
+    The row's ``wall_s`` is a telemetry-off run; its ``phases`` (per-phase
+    wall seconds) come from a second, telemetry-on run of the same seed.
+    """
+    from repro.observability import Telemetry, use_telemetry
+
     values = np.random.default_rng(0).uniform(0.0, 100.0, size=n)
+
+    def run():
+        return drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="vectorized"))
+
     start = time.perf_counter()
-    result = drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="vectorized"))
+    result = run()
     elapsed = time.perf_counter() - start
+    tel = Telemetry()
+    with use_telemetry(tel):
+        run()
+    phases = {name: doc["wall_s"] for name, doc in tel.as_dict()["phases"].items()}
     record("pipeline-scale", protocol="drr-gossip-average", n=n, backend="vectorized",
-           wall_s=elapsed, messages=result.messages, rounds=result.rounds)
+           wall_s=elapsed, messages=result.messages, rounds=result.rounds, phases=phases)
     print(
         f"drr_gossip_average, n={n}: {elapsed:.1f}s, rounds={result.rounds}, "
         f"messages={result.messages}, max_rel_error={result.max_relative_error:.2e}, "
         f"coverage={result.coverage:.3f}"
     )
+    print("  phases: " + ", ".join(f"{name} {wall:.2f}s" for name, wall in phases.items()))
     if not (result.coverage == 1.0 and result.max_relative_error < 1e-3):
         print("FAIL: scale run did not converge")
         return False

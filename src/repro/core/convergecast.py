@@ -17,12 +17,19 @@ every tree at its root:
   why the paper bounds Phase II time by the tree *size* rather than height.
 
 :func:`run_convergecast` and :func:`run_broadcast` are the entry points; the
-``backend`` argument selects the substrate kernel.  The vectorized kernel
-sweeps the forest one depth layer at a time (all of a layer's upward or
-downward transmissions are one batch); the engine kernel runs the
-:class:`ConvergecastNode` / :class:`BroadcastNode` state machines at message
-granularity.  On a reliable network both produce identical aggregates,
-rounds, and message counts for the same seed.
+``backend`` argument selects the substrate kernel.  All they need from the
+forest's shape is a :class:`ForestPlan`, built once per DRR result (lazily,
+as ``drr.plan``, under the ``core.forest_plan`` telemetry span) and shared
+by convergecast and both broadcasts: the alive roots, the depth-layer order
+of the alive non-roots (upward sweep) and of the known children (downward
+sweep), the send schedule and the sibling service ranks.  One depth sort
+serves both sweeps and one parent sort gives the ranks, on radix-sortable
+keys (:func:`~repro.core.forest.stable_argsort`); index and round arrays
+are int32 below 2^31 nodes, since a finished run keeps its plan alive.
+The vectorized kernel sweeps the plan one depth layer per batch; the engine
+kernel runs the :class:`ConvergecastNode` / :class:`BroadcastNode` state
+machines on the same schedule, with identical aggregates, rounds, and
+message counts for the same seed.
 
 Semantics under failures (both backends):
 
@@ -44,7 +51,8 @@ Semantics under failures (both backends):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from functools import cached_property
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -56,10 +64,12 @@ from ..simulator.node import ProtocolNode, RoundContext
 from ..simulator.rng import make_rng
 from ..substrate import EngineKernel, VectorizedKernel, run_on
 from .drr import DRRResult
+from .forest import stable_argsort
 
 __all__ = [
     "ConvergecastResult",
     "BroadcastResult",
+    "ForestPlan",
     "ConvergecastNode",
     "BroadcastNode",
     "run_convergecast",
@@ -73,17 +83,28 @@ Op = Literal["max", "min", "sum"]
 class ConvergecastResult:
     """Per-root local aggregates computed by a convergecast pass.
 
-    ``local_value[r]`` is the local Max/Min (op="max"/"min") or local Sum
-    (op="sum") of the tree rooted at ``r``; ``local_weight[r]`` is the number
-    of nodes whose value actually reached the root (equal to the tree size on
-    a reliable network).  Dictionaries are keyed by root id.
+    ``root_value[k]`` is the local Max/Min (op="max"/"min") or local Sum
+    (op="sum") of the tree rooted at ``roots[k]`` (the alive roots,
+    ascending); ``root_weight[k]`` is the number of nodes whose value
+    actually reached that root (equal to the tree size on a reliable
+    network).  ``local_value`` / ``local_weight`` are the same data as
+    dictionaries keyed by root id.
     """
 
     op: str
-    local_value: dict[int, float]
-    local_weight: dict[int, int]
+    roots: np.ndarray
+    root_value: np.ndarray
+    root_weight: np.ndarray
     rounds: int
     metrics: MetricsCollector
+
+    @cached_property
+    def local_value(self) -> dict[int, float]:
+        return dict(zip(self.roots.tolist(), self.root_value.tolist()))
+
+    @cached_property
+    def local_weight(self) -> dict[int, int]:
+        return dict(zip(self.roots.tolist(), self.root_weight.tolist()))
 
     def value_vector(self, roots: np.ndarray) -> np.ndarray:
         return np.array([self.local_value[int(r)] for r in roots], dtype=float)
@@ -120,40 +141,92 @@ def _reduce(op: str, a: float, b: float) -> float:
     raise ValueError(f"unknown convergecast op {op!r}")
 
 
-def _alive_of(drr: DRRResult) -> np.ndarray:
-    alive = drr.forest.alive
-    return alive if alive is not None else np.ones(drr.forest.n, dtype=bool)
+#: the ufunc whose ``.at`` folds a layer's arrivals into their parents
+_FOLD = {"max": np.maximum, "min": np.minimum, "sum": np.add}
 
 
-def _send_schedule(drr: DRRResult, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The structure-determined convergecast send schedule (see module docstring).
+def _layer_bounds(order: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """``order[bounds[d]:bounds[d + 1]]`` is depth layer ``d`` of a depth-sorted ``order``."""
+    depths = depth[order]
+    max_depth = int(depths[-1]) if depths.size else 0
+    return np.searchsorted(depths, np.arange(max_depth + 2))
 
-    Returns ``(send_round, last_child_round)``: ``send_round[i]`` is the
-    1-based round in which alive non-root ``i`` transmits its accumulated
-    aggregate to its parent (leaves in round 1, a parent one round after its
-    last *known* child's scheduled send); ``last_child_round[p]`` is the
-    latest scheduled send over ``p``'s known alive children (0 for childless
-    nodes), i.e. the round after which a root's aggregate is final.  Computed
-    without touching the RNG, in the shared preamble, so both backends run
-    the identical schedule.
+
+@dataclass(frozen=True)
+class ForestPlan:
+    """The static Phase II structure of one DRR forest (see module docstring).
+
+    Depth layer ``d`` of the upward sweep is
+    ``up_order[up_bounds[d]:up_bounds[d + 1]]``, likewise downward; a layer
+    lists ids in ascending order.  ``send_round`` (aligned with ``up_order``)
+    is the 1-based round in which a node sends to its parent: leaves in
+    round 1, a parent one round after the last scheduled send of its known
+    alive children, arrived or not.  ``root_done`` (aligned with ``roots``)
+    is that last send for a root, after which its aggregate is final.
+    ``sibling_rank`` (aligned with ``down_order``) is a child's 1-based
+    position in its parent's service order (known children by id), alive or
+    not: a parent cannot learn that a child died after tree construction
+    (mid-run churn), so it wastes that round, as the engine does.
     """
-    forest = drr.forest
-    n = forest.n
-    known = drr.known_child_mask
-    depth = forest.depth
-    has_parent = forest.parent >= 0
-    send_round = np.zeros(n, dtype=np.int64)
-    last_child_round = np.zeros(n, dtype=np.int64)
-    max_depth = int(depth[alive].max()) if alive.any() else 0
-    for d in range(max_depth, 0, -1):
-        layer = np.flatnonzero(alive & has_parent & (depth == d))
-        if layer.size == 0:
-            continue
-        send_round[layer] = 1 + last_child_round[layer]
-        waiting = layer[known[layer]]
-        if waiting.size:
-            np.maximum.at(last_child_round, forest.parent[waiting], send_round[waiting])
-    return send_round, last_child_round
+
+    roots: np.ndarray  # alive roots, ascending
+    up_order: np.ndarray  # alive non-roots by depth: the convergecast senders
+    up_bounds: np.ndarray
+    send_round: np.ndarray
+    root_done: np.ndarray
+    down_order: np.ndarray  # known children by depth: the broadcast recipients
+    down_bounds: np.ndarray
+    sibling_rank: np.ndarray
+
+    @property
+    def convergecast_rounds(self) -> int:
+        return int(self.send_round.max(initial=0))
+
+    @classmethod
+    def build(cls, drr: DRRResult) -> "ForestPlan":
+        with current_telemetry().span("core.forest_plan"):
+            forest = drr.forest
+            n, parent, depth = forest.n, forest.parent, forest.depth
+            index = np.int32 if n < 2**31 else np.int64
+            alive = forest.alive_mask
+            known = drr.known_child_mask
+            senders = alive & (parent >= 0)
+            roots = forest.roots[alive[forest.roots]]
+
+            # One stable depth sort serves both sweeps; filtering it keeps
+            # each layer in ascending id order.
+            members = np.flatnonzero(senders | known)
+            members = members[stable_argsort(depth[members])]
+            up_order = members[senders[members]].astype(index)
+            up_bounds = _layer_bounds(up_order, depth)
+            if np.array_equal(senders, known):
+                down_order, down_bounds = up_order, up_bounds
+            else:
+                down_order = members[known[members]].astype(index)
+                down_bounds = _layer_bounds(down_order, depth)
+
+            send_round = np.zeros(up_order.size, dtype=index)
+            last_child_round = np.zeros(n, dtype=index)
+            for d in range(up_bounds.size - 2, 0, -1):
+                lo, hi = up_bounds[d], up_bounds[d + 1]
+                layer = up_order[lo:hi]
+                send_round[lo:hi] = sends = last_child_round[layer] + 1
+                waiting = known[layer]
+                np.maximum.at(last_child_round, parent[layer[waiting]], sends[waiting])
+
+            # Group the known children by parent (stable: ascending id within
+            # a group) and number each group from 1.
+            kids = np.flatnonzero(known)
+            kids = kids[stable_argsort(parent[kids])]
+            rank = np.zeros(n, dtype=index)
+            if kids.size:
+                new_group = np.r_[True, parent[kids[1:]] != parent[kids[:-1]]]
+                position = np.arange(kids.size, dtype=index)
+                rank[kids] = position - np.maximum.accumulate(np.where(new_group, position, 0)) + 1
+            return cls(
+                roots, up_order, up_bounds, send_round, last_child_round[roots],
+                down_order, down_bounds, rank[down_order],
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -181,15 +254,14 @@ def run_convergecast(
     metrics = metrics if metrics is not None else MetricsCollector(n=n)
     metrics.begin_phase("convergecast")
     oracle = LossOracle.for_run(failure_model, rng)
-    schedule = _send_schedule(drr, _alive_of(drr))
 
     return run_on(
         backend,
         vectorized=lambda kernel: _convergecast_vectorized(
-            kernel, drr, values, op, oracle, rng, metrics, schedule
+            kernel, drr, values, op, oracle, rng, metrics
         ),
         engine=lambda kernel: _convergecast_engine(
-            kernel, drr, values, op, failure_model, oracle, rng, metrics, schedule
+            kernel, drr, values, op, failure_model, oracle, rng, metrics
         ),
     )
 
@@ -202,81 +274,49 @@ def _convergecast_vectorized(
     oracle: LossOracle,
     rng: np.random.Generator,
     metrics: MetricsCollector,
-    schedule: tuple[np.ndarray, np.ndarray],
 ) -> ConvergecastResult:
-    forest = drr.forest
-    n = forest.n
-    alive = _alive_of(drr)
+    forest, plan = drr.forest, drr.plan
+    alive = forest.alive_mask
     known = drr.known_child_mask  # child side: my parent knows me
-    depth = forest.depth
-    send_round, _ = schedule
     payload_words = 1 if op in ("max", "min") else 2
     alive_arg = None if alive.all() else alive
 
     # Accumulators: every alive node starts with its own value and weight 1.
-    acc_value = values.astype(float).copy()
-    acc_weight = np.ones(n, dtype=np.int64)
-    acc_weight[~alive] = 0
+    acc_value = values.copy()
+    acc_weight = alive.astype(np.int64)
 
-    has_parent = forest.parent >= 0
-    # Partition the senders into depth layers with ONE radix sort instead
-    # of one full-array scan per depth (stable sort keeps each layer in
-    # ascending id order, exactly the order `flatnonzero` produced).
-    members = np.flatnonzero(alive & has_parent)
-    # int32 keys halve the radix passes of the stable sort (depths are tiny)
-    order = members[np.argsort(depth[members].astype(np.int32), kind="stable")]
-    layer_depths = depth[order]
-    max_depth = int(layer_depths[-1]) if order.size else 0
-    bounds = np.searchsorted(layer_depths, np.arange(max_depth + 2))
     # Sweep the forest bottom-up, one depth layer per batch: a layer's
     # upward transmissions are charged, lossed, and folded as arrays.  The
     # loss oracle keys each transmission by its scheduled send round, so
     # batching by depth instead of by round changes nothing.
     with current_telemetry().span("substrate.convergecast_layers"):
-        for d in range(max_depth, 0, -1):
-            layer = order[bounds[d]:bounds[d + 1]]
-            if layer.size == 0:
+        for d in range(plan.up_bounds.size - 2, 0, -1):
+            lo, hi = plan.up_bounds[d], plan.up_bounds[d + 1]
+            if lo == hi:
                 continue
+            layer = plan.up_order[lo:hi].astype(np.intp)
             parents = forest.parent[layer]
             delivered = kernel.deliver(
-                metrics,
-                oracle,
-                MessageKind.CONVERGECAST,
-                parents,
-                senders=layer,
-                round_index=send_round[layer] - 1,
-                alive=alive_arg,
-                payload_words=payload_words,
+                metrics, oracle, MessageKind.CONVERGECAST, parents, senders=layer,
+                round_index=plan.send_round[lo:hi].astype(np.int64) - 1,
+                alive=alive_arg, payload_words=payload_words,
             )
             fold = delivered & known[layer]
             src, dst = layer[fold], parents[fold]
-            if op == "sum":
-                np.add.at(acc_value, dst, acc_value[src])
-            elif op == "max":
-                np.maximum.at(acc_value, dst, acc_value[src])
-            else:
-                np.minimum.at(acc_value, dst, acc_value[src])
+            _FOLD[op].at(acc_value, dst, acc_value[src])
             np.add.at(acc_weight, dst, acc_weight[src])
 
-    alive_roots = [int(r) for r in forest.roots if alive[r]]
-    local_value = {r: float(acc_value[r]) for r in alive_roots}
-    local_weight = {r: int(acc_weight[r]) for r in alive_roots}
-    rounds = int(send_round[alive & has_parent].max(initial=0))
+    rounds = plan.convergecast_rounds
     metrics.record_round(rounds)
-    return ConvergecastResult(
-        op=op,
-        local_value=local_value,
-        local_weight=local_weight,
-        rounds=rounds,
-        metrics=metrics,
-    )
+    roots = plan.roots
+    return ConvergecastResult(op, roots, acc_value[roots], acc_weight[roots], rounds, metrics)
 
 
 class ConvergecastNode(ProtocolNode):
     """Per-node convergecast state machine (Algorithms 2 and 3).
 
     Transmissions follow the precomputed send schedule (see
-    :func:`_send_schedule`): the node sends in round ``send_at`` whether or
+    :class:`ForestPlan`): the node sends in round ``send_at`` whether or
     not every known child's message arrived — a lost message means a missing
     contribution, never a delay, matching the vectorized backend exactly.
     """
@@ -350,13 +390,14 @@ def _convergecast_engine(
     oracle: LossOracle,
     rng: np.random.Generator,
     metrics: MetricsCollector,
-    schedule: tuple[np.ndarray, np.ndarray],
 ) -> ConvergecastResult:
-    forest = drr.forest
-    n = forest.n
-    alive = _alive_of(drr)
+    forest, plan = drr.forest, drr.plan
+    n, alive = forest.n, forest.alive_mask
     known = drr.known_children
-    send_round, last_child_round = schedule
+    send_round = np.zeros(n, dtype=np.int64)
+    send_round[plan.up_order] = plan.send_round
+    done_round = np.zeros(n, dtype=np.int64)
+    done_round[plan.roots] = plan.root_done
     nodes = [
         ConvergecastNode(
             node_id=i,
@@ -365,7 +406,7 @@ def _convergecast_engine(
             known_children=known[i],
             op=op,
             send_at=int(send_round[i]) - 1,
-            done_at=int(last_child_round[i]),
+            done_at=int(done_round[i]),
         )
         for i in range(n)
     ]
@@ -377,20 +418,14 @@ def _convergecast_engine(
         alive=alive,
         loss_oracle=oracle,
         max_substeps=2,
-        max_rounds=int(send_round.max(initial=0)) + 4,
+        max_rounds=plan.convergecast_rounds + 4,
         strict=False,
     )
 
-    alive_roots = [int(r) for r in forest.roots if alive[r]]
-    local_value = {r: float(nodes[r].value) for r in alive_roots}
-    local_weight = {r: int(nodes[r].weight) for r in alive_roots}
-    return ConvergecastResult(
-        op=op,
-        local_value=local_value,
-        local_weight=local_weight,
-        rounds=outcome.rounds,
-        metrics=metrics,
-    )
+    root_nodes = [nodes[r] for r in plan.roots.tolist()]
+    value = np.array([node.value for node in root_nodes], dtype=float)
+    weight = np.array([node.weight for node in root_nodes], dtype=np.int64)
+    return ConvergecastResult(op, plan.roots, value, weight, outcome.rounds, metrics)
 
 
 # --------------------------------------------------------------------------- #
@@ -398,7 +433,7 @@ def _convergecast_engine(
 # --------------------------------------------------------------------------- #
 def run_broadcast(
     drr: DRRResult,
-    root_payload: dict[int, float],
+    root_payload: Mapping[int, float],
     failure_model: FailureModel | None = None,
     rng: np.random.Generator | int | None = None,
     metrics: MetricsCollector | None = None,
@@ -412,14 +447,16 @@ def run_broadcast(
     metrics = metrics if metrics is not None else MetricsCollector(n=forest.n)
     metrics.begin_phase(phase_name)
     oracle = LossOracle.for_run(failure_model, rng)
-    for root in root_payload:
-        if not forest.is_root(int(root)):
-            raise ValueError(f"node {int(root)} is not a root")
+    seeds = np.fromiter(root_payload, dtype=np.int64, count=len(root_payload))
+    not_root = forest.parent[seeds] >= 0
+    if not_root.any():
+        raise ValueError(f"node {int(seeds[np.argmax(not_root)])} is not a root")
+    seed_values = np.fromiter(root_payload.values(), dtype=float, count=seeds.size)
 
     return run_on(
         backend,
         vectorized=lambda kernel: _broadcast_vectorized(
-            kernel, drr, root_payload, oracle, rng, metrics
+            kernel, drr, seeds, seed_values, oracle, rng, metrics
         ),
         engine=lambda kernel: _broadcast_engine(
             kernel, drr, root_payload, failure_model, oracle, rng, metrics
@@ -430,82 +467,49 @@ def run_broadcast(
 def _broadcast_vectorized(
     kernel: VectorizedKernel,
     drr: DRRResult,
-    root_payload: dict[int, float],
+    seeds: np.ndarray,
+    seed_values: np.ndarray,
     oracle: LossOracle,
     rng: np.random.Generator,
     metrics: MetricsCollector,
 ) -> BroadcastResult:
-    forest = drr.forest
-    n = forest.n
-    alive = _alive_of(drr)
-    depth = forest.depth
+    forest, plan = drr.forest, drr.plan
+    n, alive = forest.n, forest.alive_mask
     alive_arg = None if alive.all() else alive
 
     received = np.zeros(n, dtype=bool)
     payload = np.full(n, np.nan, dtype=float)
     receive_round = np.full(n, -1, dtype=np.int64)
-
-    for root, value in root_payload.items():
-        root = int(root)
-        if not alive[root]:
-            continue
-        received[root] = True
-        payload[root] = float(value)
-        receive_round[root] = 0
-
-    # A parent serves its known children one per round in ascending id
-    # order; precompute each child's 1-based position in that service order.
-    # Children are served whether or not they are still alive: a parent has
-    # no way to learn that a child died after tree construction (mid-run
-    # churn), so it wastes that round -- the transmission is charged and
-    # swallowed, exactly as the message-level engine does.  Under the
-    # initial-crash model every known child is alive, so this filter change
-    # is invisible there.
-    serveable = drr.known_child_mask
-    kids = np.flatnonzero(serveable)
-    parent_keys = forest.parent[kids]
-    if n <= 2**31 - 1:
-        parent_keys = parent_keys.astype(np.int32)  # halves the radix passes
-    order = kids[np.argsort(parent_keys, kind="stable")]
-    sibling_rank = np.zeros(n, dtype=np.int64)
-    if order.size:
-        parents_sorted = forest.parent[order]
-        new_group = np.r_[True, parents_sorted[1:] != parents_sorted[:-1]]
-        group_start = np.maximum.accumulate(np.where(new_group, np.arange(order.size), 0))
-        sibling_rank[order] = np.arange(order.size) - group_start + 1
-
-    # Partition the serveable children into depth layers with one radix
-    # sort (stable: ascending id within a layer) instead of a full-array
-    # scan per depth.
-    by_depth = kids[np.argsort(depth[kids].astype(np.int32), kind="stable")]
-    layer_depths = depth[by_depth]
-    max_depth = int(layer_depths[-1]) if by_depth.size else 0
-    bounds = np.searchsorted(layer_depths, np.arange(max_depth + 2))
+    live = alive[seeds]
+    received[seeds[live]] = True
+    payload[seeds[live]] = seed_values[live]
+    receive_round[seeds[live]] = 0
 
     # Sweep the trees top-down one depth layer per batch; a child's arrival
-    # round is its parent's receive round plus its service position, and the
+    # round is its parent's receive round plus its sibling rank, and the
     # transmission is charged whether or not it survives.
     max_round = 0
     with current_telemetry().span("substrate.broadcast_layers"):
-        for d in range(1, max_depth + 1):
-            layer = by_depth[bounds[d]:bounds[d + 1]]
-            if layer.size == 0:
+        for d in range(1, plan.down_bounds.size - 1):
+            lo, hi = plan.down_bounds[d], plan.down_bounds[d + 1]
+            layer = plan.down_order[lo:hi].astype(np.intp)
+            parents = forest.parent[layer]
+            reached = received[parents]
+            if not reached.any():
                 continue
-            layer = layer[received[forest.parent[layer]]]
-            if layer.size == 0:
-                continue
-            arrival = receive_round[forest.parent[layer]] + sibling_rank[layer]
+            layer, parents = layer[reached], parents[reached]
+            arrival = receive_round[parents] + plan.sibling_rank[lo:hi][reached]
             max_round = max(max_round, int(arrival.max()))
             # A transmission to a depth-d child is sent in the round before
             # its arrival (its parent's serving round), which is the round
             # the engine stamps on the same message.
             delivered = kernel.deliver(
                 metrics, oracle, MessageKind.BROADCAST, layer,
-                senders=forest.parent[layer], round_index=arrival - 1, alive=alive_arg,
+                senders=parents, round_index=arrival - 1, alive=alive_arg,
             )
             got = layer[delivered]
             received[got] = True
-            payload[got] = payload[forest.parent[got]]
+            payload[got] = payload[parents[delivered]]
             receive_round[got] = arrival[delivered]
 
     metrics.record_round(max_round)
@@ -549,15 +553,14 @@ class BroadcastNode(ProtocolNode):
 def _broadcast_engine(
     kernel: EngineKernel,
     drr: DRRResult,
-    root_payload: dict[int, float],
+    root_payload: Mapping[int, float],
     failure_model: FailureModel,
     oracle: LossOracle,
     rng: np.random.Generator,
     metrics: MetricsCollector,
 ) -> BroadcastResult:
     forest = drr.forest
-    n = forest.n
-    alive = _alive_of(drr)
+    n, alive = forest.n, forest.alive_mask
     known = drr.known_children
     nodes = [
         BroadcastNode(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,13 @@ class DRRResult:
         for child in np.flatnonzero(self.known_child_mask):
             kids[int(self.forest.parent[child])].append(int(child))
         return tuple(tuple(k) for k in kids)
+
+    @cached_property
+    def plan(self):
+        """The :class:`~repro.core.convergecast.ForestPlan` Phase II reads, built on first use."""
+        from .convergecast import ForestPlan  # convergecast imports this module
+
+        return ForestPlan.build(self)
 
 
 def run_drr(

@@ -33,7 +33,7 @@ from ..simulator.metrics import MetricsCollector
 from ..simulator.rng import make_rng
 from ..substrate import normalize_backend
 from .aggregates import Aggregate, exact_aggregate
-from .convergecast import run_broadcast, run_convergecast
+from .convergecast import BroadcastResult, run_broadcast, run_convergecast
 from .drr import DRRResult, run_drr
 from .data_spread import run_data_spread
 from .gossip_ave import run_gossip_ave
@@ -141,9 +141,7 @@ class DRRGossipResult:
     @property
     def coverage(self) -> float:
         """Fraction of alive nodes that hold an estimate."""
-        alive = self.drr.forest.alive
-        alive = alive if alive is not None else np.ones(self.n, dtype=bool)
-        return float(self.learned[alive].mean())
+        return float(self.learned[self.drr.forest.alive_mask].mean())
 
     def messages_by_phase(self) -> dict[str, int]:
         return self.metrics.messages_by_phase()
@@ -155,25 +153,16 @@ class DRRGossipResult:
 # --------------------------------------------------------------------------- #
 # shared phase helpers
 # --------------------------------------------------------------------------- #
-def _run_phase_one(
-    n: int,
-    rng: np.random.Generator,
-    config: DRRGossipConfig,
-    metrics: MetricsCollector,
-) -> DRRResult:
-    return run_drr(
-        n,
-        rng=rng,
-        probe_budget=config.probe_budget,
-        failure_model=config.failure_model,
-        metrics=metrics,
-        backend=config.backend,
-    )
-
-
-def _alive_mask(drr: DRRResult) -> np.ndarray:
-    alive = drr.forest.alive
-    return alive if alive is not None else np.ones(drr.forest.n, dtype=bool)
+def _run_args(
+    config: DRRGossipConfig, rng: np.random.Generator, metrics: MetricsCollector
+) -> dict:
+    """The keyword arguments every phase takes from the run."""
+    return {
+        "failure_model": config.failure_model,
+        "rng": rng,
+        "metrics": metrics,
+        "backend": config.backend,
+    }
 
 
 def _pipeline_churn(
@@ -199,11 +188,6 @@ def _pipeline_churn(
     return churn
 
 
-def _alive_roots(drr: DRRResult) -> np.ndarray:
-    alive = _alive_mask(drr)
-    return np.array([int(r) for r in drr.forest.roots if alive[r]], dtype=np.int64)
-
-
 def broadcast_root_addresses(
     drr: DRRResult,
     roots: np.ndarray,
@@ -219,15 +203,10 @@ def broadcast_root_addresses(
     convergence studies) need the same forwarding table the full DRR-gossip
     pipelines build internally.
     """
-    payload = {int(r): float(r) for r in roots}
+    roots = np.asarray(roots, dtype=np.int64)
+    payload = dict(zip(roots.tolist(), roots.astype(float).tolist()))
     outcome = run_broadcast(
-        drr,
-        payload,
-        failure_model=config.failure_model,
-        rng=rng,
-        metrics=metrics,
-        phase_name="broadcast-root",
-        backend=config.backend,
+        drr, payload, phase_name="broadcast-root", **_run_args(config, rng, metrics)
     )
     root_of = np.full(drr.forest.n, -1, dtype=np.int64)
     received = outcome.received
@@ -235,65 +214,26 @@ def broadcast_root_addresses(
     return root_of
 
 
-def _broadcast_estimates(
-    drr: DRRResult,
-    root_estimates: dict[int, float],
-    rng: np.random.Generator,
-    config: DRRGossipConfig,
-    metrics: MetricsCollector,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final Phase: roots broadcast the global aggregate to their trees."""
-    outcome = run_broadcast(
-        drr,
-        root_estimates,
-        failure_model=config.failure_model,
-        rng=rng,
-        metrics=metrics,
-        phase_name="broadcast-final",
-        backend=config.backend,
-    )
-    return outcome.payload, outcome.received
-
-
-def _convergecast(
-    drr: DRRResult,
-    values: np.ndarray,
-    op: str,
-    rng: np.random.Generator,
-    config: DRRGossipConfig,
-    metrics: MetricsCollector,
-):
-    return run_convergecast(
-        drr,
-        values,
-        op=op,
-        failure_model=config.failure_model,
-        rng=rng,
-        metrics=metrics,
-        backend=config.backend,
-    )
-
-
 def _finalise(
     aggregate: Aggregate,
     drr: DRRResult,
     root_estimates: dict[int, float],
-    payload: np.ndarray,
-    received: np.ndarray,
+    final: BroadcastResult,
     values: np.ndarray,
     metrics: MetricsCollector,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
     exact_value: float | None = None,
 ) -> DRRGossipResult:
-    alive = _alive_mask(drr)
-    estimates = payload.copy()
-    learned = received.copy()
+    alive = drr.forest.alive_mask
+    estimates = final.payload.copy()
+    learned = final.received.copy()
     estimates[~alive] = np.nan
     learned[~alive] = False
     if transform is not None:
         finite = np.isfinite(estimates)
         estimates[finite] = transform(estimates[finite])
-        root_estimates = {r: float(transform(np.array([v]))[0]) for r, v in root_estimates.items()}
+        transformed = transform(np.fromiter(root_estimates.values(), dtype=float))
+        root_estimates = dict(zip(root_estimates, np.asarray(transformed, dtype=float).tolist()))
     exact = (
         exact_value
         if exact_value is not None
@@ -351,29 +291,25 @@ def _extremum_pipeline(
     churn = _pipeline_churn(config, rng)
     work_values = -values if negate else values
 
-    drr = _run_phase_one(n, rng, config, metrics)
-    roots = _alive_roots(drr)
-    cov = _convergecast(drr, work_values, "max", rng, config, metrics)
+    run = _run_args(config, rng, metrics)
+    drr = run_drr(n, probe_budget=config.probe_budget, **run)
+    cov = run_convergecast(drr, work_values, op="max", **run)
+    roots = cov.roots  # the alive roots
     root_of = broadcast_root_addresses(drr, roots, rng, config, metrics)
     gossip = run_gossip_max(
         roots=roots,
-        root_values=cov.value_vector(roots),
+        root_values=cov.root_value,
         root_of=root_of,
         n=n,
-        failure_model=config.failure_model,
-        rng=rng,
-        metrics=metrics,
         gossip_rounds=config.gossip_rounds,
         sampling_rounds=config.sampling_rounds,
-        alive=_alive_mask(drr),
+        alive=drr.forest.alive_mask,
         churn=churn,
-        backend=config.backend,
+        **run,
     )
-    payload, received = _broadcast_estimates(drr, gossip.estimates, rng, config, metrics)
+    final = run_broadcast(drr, gossip.estimates, phase_name="broadcast-final", **run)
     transform = (lambda x: -x) if negate else None
-    return _finalise(
-        aggregate, drr, gossip.estimates, payload, received, values, metrics, transform
-    )
+    return _finalise(aggregate, drr, gossip.estimates, final, values, metrics, transform)
 
 
 # --------------------------------------------------------------------------- #
@@ -407,22 +343,19 @@ def _identify_largest_root(
         root_values=encoded.astype(float),
         root_of=root_of,
         n=n,
-        failure_model=config.failure_model,
-        rng=rng,
-        metrics=metrics,
         gossip_rounds=config.gossip_rounds,
         sampling_rounds=config.sampling_rounds,
         phase_name="gossip-max-sizes",
-        alive=_alive_mask(drr),
+        alive=drr.forest.alive_mask,
         churn=churn,
         churn_base_round=churn_base_round,
-        backend=config.backend,
+        **_run_args(config, rng, metrics),
     )
     # Every root compares the gossiped maximum against its own encoding; the
     # root whose own encoding equals the consensus knows it is the largest.
     consensus = max(outcome.estimates.values())
     winner = int(round(consensus)) % (n + 1)
-    if winner not in set(int(r) for r in roots):
+    if not np.any(roots == winner):
         # Extremely lossy runs can garble the consensus; fall back to the
         # true largest tree so the pipeline still returns an answer (the
         # error shows up in the accuracy metrics, not as a crash).
@@ -456,13 +389,13 @@ def _pushsum_pipeline(
     else:
         work_values = raw_values
 
-    drr = _run_phase_one(n, rng, config, metrics)
-    alive = _alive_mask(drr)
-    roots = _alive_roots(drr)
-
-    cov = _convergecast(drr, work_values, "sum", rng, config, metrics)
-    local_sums = cov.value_vector(roots)
-    tree_sizes = cov.weight_vector(roots)
+    run = _run_args(config, rng, metrics)
+    drr = run_drr(n, probe_budget=config.probe_budget, **run)
+    alive = drr.forest.alive_mask
+    cov = run_convergecast(drr, work_values, op="sum", **run)
+    roots = cov.roots  # the alive roots
+    local_sums = cov.root_value
+    tree_sizes = cov.root_weight.astype(float)
     root_of = broadcast_root_addresses(drr, roots, rng, config, metrics)
 
     # Phase III runs under one sequential churn clock: gossip-max-sizes,
@@ -487,16 +420,13 @@ def _pushsum_pipeline(
         local_weights=weights,
         root_of=root_of,
         n=n,
-        failure_model=config.failure_model,
-        rng=rng,
-        metrics=metrics,
         rounds=config.ave_rounds,
         epsilon=config.epsilon,
         alive=alive,
         trace_root=largest,
         churn=churn,
         churn_base_round=churn_base,
-        backend=config.backend,
+        **run,
     )
     churn_base += ave.rounds
     answer = ave.estimate_at(largest)
@@ -509,17 +439,14 @@ def _pushsum_pipeline(
         value=float(answer),
         root_of=root_of,
         n=n,
-        failure_model=config.failure_model,
-        rng=rng,
-        metrics=metrics,
         gossip_rounds=config.gossip_rounds,
         sampling_rounds=config.sampling_rounds,
         alive=alive,
         churn=churn,
         churn_base_round=churn_base,
-        backend=config.backend,
+        **run,
     )
-    payload, received = _broadcast_estimates(drr, spread.estimates, rng, config, metrics)
+    final = run_broadcast(drr, spread.estimates, phase_name="broadcast-final", **run)
 
     transform = None
     exact_value = None
@@ -533,8 +460,7 @@ def _pushsum_pipeline(
         aggregate,
         drr,
         spread.estimates,
-        payload,
-        received,
+        final,
         raw_values,
         metrics,
         transform=transform,

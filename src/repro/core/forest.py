@@ -22,9 +22,33 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Forest", "ForestInvariantError"]
+__all__ = ["Forest", "ForestInvariantError", "stable_argsort"]
 
 NO_PARENT = -1
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys, via radix passes.
+
+    NumPy radix-sorts only keys of 16 bits or fewer; wider keys go through
+    a comparison sort.  The keys are shifted to start at 0 and sorted least
+    significant digit first, in stable passes of 16 bits (8 when at most 8
+    bits remain): one uint8 pass for depths, two passes for parent ids
+    below 2^24.
+    """
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    # exact in wrapping uint64 arithmetic: 0 <= key - min < 2^64
+    offset = keys.astype(np.uint64) - np.asarray(keys.min()).astype(np.uint64)
+    bits = int(offset.max()).bit_length()
+    for shift in range(0, max(bits, 1), 16):
+        digit = (offset >> np.uint64(shift)).astype(np.uint8 if bits - shift <= 8 else np.uint16)
+        if shift:
+            order = order[np.argsort(digit[order], kind="stable")]
+        else:
+            order = np.argsort(digit, kind="stable")
+    return order
 
 
 class ForestInvariantError(ValueError):
@@ -77,6 +101,11 @@ class Forest:
         """Node ids that have no parent (the set V-tilde of the paper)."""
         return np.flatnonzero(self.parent == NO_PARENT)
 
+    @cached_property
+    def alive_mask(self) -> np.ndarray:
+        """``alive``, or all True when no liveness mask was given."""
+        return self.alive if self.alive is not None else np.ones(self.n, dtype=bool)
+
     @property
     def root_count(self) -> int:
         return int(self.roots.size)
@@ -106,7 +135,7 @@ class Forest:
         available for per-node (engine) code and small-n tests.
         """
         non_roots = np.flatnonzero(self.parent != NO_PARENT)
-        order = non_roots[np.argsort(self.parent[non_roots], kind="stable")]
+        order = non_roots[stable_argsort(self.parent[non_roots])]
         counts = np.bincount(self.parent[non_roots], minlength=self.n)
         start = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=start[1:])
@@ -168,17 +197,21 @@ class Forest:
         return depth
 
     @cached_property
+    def _root_sizes(self) -> np.ndarray:
+        """Tree sizes aligned with :attr:`roots`."""
+        return np.bincount(self.tree_id, minlength=self.n)[self.roots]
+
+    @cached_property
     def tree_sizes(self) -> dict[int, int]:
         """Mapping root id -> number of nodes in its tree (Theorem 3 quantity)."""
-        ids, counts = np.unique(self.tree_id, return_counts=True)
-        return {int(r): int(c) for r, c in zip(ids, counts)}
+        return dict(zip(self.roots.tolist(), self._root_sizes.tolist()))
 
     @cached_property
     def tree_heights(self) -> dict[int, int]:
         """Mapping root id -> height (max depth) of its tree (Theorem 11 quantity)."""
         heights = np.zeros(self.n, dtype=np.int64)
         np.maximum.at(heights, self.tree_id, self.depth)
-        return {int(r): int(heights[r]) for r in self.roots}
+        return dict(zip(self.roots.tolist(), heights[self.roots].tolist()))
 
     @property
     def max_tree_size(self) -> int:
@@ -204,20 +237,15 @@ class Forest:
         guaranteed (Theorem 7) to converge, and it then Data-spreads the
         answer to the other roots.
         """
-        best_root, best_size = -1, -1
-        for root in sorted(self.tree_sizes):
-            size = self.tree_sizes[root]
-            if size > best_size:
-                best_root, best_size = root, size
-        return best_root
+        # roots ascend and argmax returns the first maximum
+        return int(self.roots[np.argmax(self._root_sizes)])
 
     # ------------------------------------------------------------------ #
     # traversal
     # ------------------------------------------------------------------ #
     def topological_order(self) -> np.ndarray:
         """Nodes ordered so parents precede children (roots first)."""
-        order = np.argsort(self.depth, kind="stable")
-        return order
+        return stable_argsort(self.depth)
 
     def depth_by_bfs(self) -> np.ndarray:
         """Depths computed by a level-synchronous sweep from the roots.

@@ -2,20 +2,26 @@
 
 The substrate benchmarks (``benchmarks/bench_substrate.py``) append one
 machine-readable row per measured run — protocol, ``n``, backend, shard
-count, wall time, message/round counts — stamped with the git SHA and a
-UTC timestamp.  The file is an append-only JSON list, so the repository
-accumulates a perf trajectory across commits (the py_experimenter-style
-"keep the measurements, not just the pass/fail" discipline), and
+count, wall time, message/round counts — stamped with the git SHA, a
+UTC timestamp and a ``host`` fingerprint (cores, platform, Python and
+numpy versions) that tells rows from different machines apart.  The file
+is an append-only JSON list, so the repository accumulates a perf
+trajectory across commits (the py_experimenter-style "keep the
+measurements, not just the pass/fail" discipline), and
 ``drr-gossip results --bench`` prints it as a table.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_BENCH_FILE",
@@ -23,6 +29,7 @@ __all__ = [
     "current_git_sha",
     "filter_bench_rows",
     "format_bench_table",
+    "host_fingerprint",
     "load_bench_rows",
 ]
 
@@ -48,6 +55,12 @@ def current_git_sha(cwd: str | Path | None = None) -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
+def host_fingerprint() -> dict[str, Any]:
+    """What a row's timings depend on besides the code."""
+    return {"cpu_count": os.cpu_count(), "platform": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
 def load_bench_rows(path: str | Path = DEFAULT_BENCH_FILE) -> list[dict[str, Any]]:
     """Read the trajectory file (an empty list when it does not exist)."""
     path = Path(path)
@@ -66,15 +79,17 @@ def append_bench_rows(
     rows: Sequence[Mapping[str, Any]],
     path: str | Path = DEFAULT_BENCH_FILE,
 ) -> Path:
-    """Append measurement rows (stamped with git SHA + UTC time) to ``path``."""
+    """Append measurement rows (stamped with git SHA, UTC time, host) to ``path``."""
     path = Path(path)
     stamped = []
     sha = current_git_sha(path.parent if path.parent != Path("") else None)
     now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    host = host_fingerprint()
     for row in rows:
         entry = dict(row)
         entry.setdefault("git_sha", sha)
         entry.setdefault("timestamp", now)
+        entry.setdefault("host", host)
         stamped.append(entry)
     existing = load_bench_rows(path)
     existing.extend(stamped)

@@ -206,6 +206,23 @@ class TestBenchTrajectory:
         table = format_bench_table(rows)
         assert "vectorized" in table and "sharded" in table
 
+    def test_rows_are_stamped_with_the_host(self, tmp_path):
+        from repro.harness.benchlog import append_bench_rows, host_fingerprint, load_bench_rows
+
+        path = tmp_path / "BENCH_substrate.json"
+        mine = {"cpu_count": 64, "platform": "elsewhere", "python": "3.0", "numpy": "1.0"}
+        append_bench_rows(
+            [
+                {"bench": "smoke", "n": 10, "wall_s": 0.5},
+                {"bench": "smoke", "n": 10, "wall_s": 0.5, "host": mine},
+            ],
+            path,
+        )
+        stamped, kept = load_bench_rows(path)
+        assert stamped["host"] == host_fingerprint()
+        assert set(stamped["host"]) == {"cpu_count", "platform", "python", "numpy"}
+        assert kept["host"] == mine
+
     def test_results_bench_cli(self, tmp_path, capsys):
         from repro.harness.benchlog import append_bench_rows
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import run_broadcast, run_convergecast, run_drr
-from repro.simulator import FailureModel
+from repro.core import DRRResult, Forest, run_broadcast, run_convergecast, run_drr
+from repro.simulator import FailureModel, MetricsCollector
+from repro.substrate.compiled import python_fallback
 
 
 @pytest.fixture
@@ -153,3 +154,87 @@ class TestEngineParity:
             backend="engine",
         )
         assert sum(engine.local_weight.values()) <= 128
+
+
+def chain_drr(length: int = 300, extra: int = 60, lost_connects=(5, 310)) -> DRRResult:
+    """A hand-built forest: one chain of ``length`` nodes (depth ``length - 1``),
+    then a star of 19 children with a level of grandchildren below it, then
+    isolated roots; the CONNECT messages of ``lost_connects`` were lost."""
+    n = length + extra
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[1:length] = np.arange(length - 1)
+    star = length
+    parent[star + 1 : star + 20] = star  # 19 siblings of one parent
+    parent[star + 20 : star + 40] = np.arange(star + 1, star + 21)  # grandchildren
+    forest = Forest(parent=parent, rank=np.zeros(n))
+    rank = 1.0 - forest.depth / (n + 1) - np.arange(n) * 1e-9
+    forest = Forest(parent=parent, rank=rank)
+    forest.validate()
+    connect = parent >= 0
+    connect[list(lost_connects)] = False
+    return DRRResult(
+        forest=forest,
+        connect_delivered=connect,
+        probes=np.zeros(n, dtype=np.int64),
+        rounds=0,
+        metrics=MetricsCollector(n=n),
+    )
+
+
+class TestForestPlan:
+    def test_plan_is_built_once_per_drr_result(self, drr_256):
+        assert drr_256.plan is drr_256.plan
+
+    def test_layer_orders_match_argsort_reference(self):
+        drr = chain_drr()
+        plan = drr.plan
+        depth, parent = drr.forest.depth, drr.forest.parent
+        assert depth.max() > 255  # depth keys need the 16-bit path
+        senders = np.flatnonzero(parent >= 0)
+        expected_up = senders[np.argsort(depth[senders], kind="stable")]
+        assert np.array_equal(plan.up_order, expected_up)
+        kids = np.flatnonzero(drr.known_child_mask)
+        assert np.array_equal(plan.down_order, kids[np.argsort(depth[kids], kind="stable")])
+        assert plan.up_bounds.size == depth.max() + 2
+        assert plan.up_order.dtype == np.int32 and plan.send_round.dtype == np.int32
+        # the star root's known children (310's CONNECT was lost) are
+        # served in id order
+        star_kids = np.isin(plan.down_order, np.arange(301, 320))
+        assert plan.down_order[star_kids].tolist() == [k for k in range(301, 320) if k != 310]
+        assert plan.sibling_rank[star_kids].tolist() == list(range(1, 19))
+
+    @pytest.mark.parametrize("backend", ["vectorized", "compiled"])
+    @pytest.mark.parametrize("loss", [0.0, 0.1], ids=["reliable", "lossy"])
+    def test_deep_chain_matches_engine(self, backend, loss):
+        drr = chain_drr()
+        n = drr.forest.n
+        fm = FailureModel(loss_probability=loss)
+        values = np.random.default_rng(3).normal(size=n)
+        with python_fallback():
+            for op in ("sum", "max"):
+                fast = run_convergecast(drr, values, op=op, failure_model=fm, rng=1, backend=backend)
+                engine = run_convergecast(drr, values, op=op, failure_model=fm, rng=1, backend="engine")
+                assert fast.local_weight == engine.local_weight
+                assert fast.local_value.keys() == engine.local_value.keys()
+                for root, value in engine.local_value.items():
+                    assert fast.local_value[root] == pytest.approx(value, rel=1e-12)
+                assert fast.rounds == engine.rounds
+                assert fast.metrics.total_messages == engine.metrics.total_messages
+                assert fast.metrics.total_messages_lost == engine.metrics.total_messages_lost
+            payload = {int(r): float(r) + 0.5 for r in drr.forest.roots}
+            fast = run_broadcast(drr, payload, failure_model=fm, rng=4, backend=backend)
+            engine = run_broadcast(drr, payload, failure_model=fm, rng=4, backend="engine")
+        assert np.array_equal(fast.received, engine.received)
+        assert np.array_equal(fast.payload, engine.payload, equal_nan=True)
+        assert fast.rounds == engine.rounds
+        assert fast.metrics.total_messages == engine.metrics.total_messages
+        assert fast.metrics.total_messages_lost == engine.metrics.total_messages_lost
+        if loss == 0.0:
+            # node 4 never learned of child 5, so the broadcast stops there
+            assert fast.received[:5].all() and not fast.received[5:300].any()
+
+    def test_value_vector_rejects_non_roots(self, drr_256, values_256):
+        cov = run_convergecast(drr_256, values_256, op="sum", rng=1)
+        non_root = int(np.flatnonzero(drr_256.forest.parent >= 0)[0])
+        with pytest.raises(KeyError):
+            cov.value_vector(np.array([non_root]))

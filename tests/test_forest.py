@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.forest import Forest, ForestInvariantError
+from repro.core.forest import Forest, ForestInvariantError, stable_argsort
 
 
 def make_forest(parent, rank=None):
@@ -182,3 +182,34 @@ class TestForestProperties:
             if p != -1:
                 assert int(p) in seen
             seen.add(int(node))
+
+
+class TestStableArgsort:
+    """The radix-pass helper must reproduce NumPy's stable order exactly."""
+
+    @given(
+        st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=200),
+        st.sampled_from([2**8, 2**16, 2**17, 2**32, 2**40, 2**64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_stable_argsort_on_int64_keys(self, raw, span):
+        # fold the keys into a span so runs of equal keys (stability) and
+        # every pass count (one uint8 pass up to four 16-bit passes) occur
+        keys = np.array([k % span for k in raw] if span < 2**64 else raw, dtype=np.int64)
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(stable_argsort(keys), expected)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [],
+            [7],
+            [2**16, 3, 2**16 + 1, 3, 0, 2**16],
+            [2**32 + 5, 2**32, 1, 2**32 + 5, 2**40, 0],
+            [-(2**63), 2**63 - 1, -1, 0, -(2**63)],
+        ],
+        ids=["empty", "single", "ge-2^16", "ge-2^32", "int64-extremes"],
+    )
+    def test_edge_cases(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))

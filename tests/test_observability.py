@@ -308,6 +308,29 @@ class TestCompiledTelemetry:
 
 
 # --------------------------------------------------------------------------- #
+# the forest plan is built once and shared by the three tree phases
+# --------------------------------------------------------------------------- #
+class TestForestPlanSpan:
+    @pytest.mark.parametrize("aggregate", ["average", "max"])
+    @pytest.mark.parametrize("failures", FAILURE_MODELS, ids=["reliable", "lossy"])
+    def test_one_plan_span_per_run(self, aggregate, failures):
+        spec = RunSpec(
+            protocol="drr-gossip",
+            params={"n": 512, "aggregate": aggregate},
+            failures=failures,
+            seed=4,
+            telemetry=True,
+        )
+        result = repro.run(spec)
+        spans = result.telemetry["spans"]
+        assert spans["core.forest_plan"]["count"] == 1
+        # it is built inside convergecast, the first tree phase
+        phases = result.telemetry["phases"]
+        assert spans["core.forest_plan"]["total_s"] <= phases["convergecast"]["wall_s"]
+        assert spans["substrate.broadcast_layers"]["count"] == 2
+
+
+# --------------------------------------------------------------------------- #
 # JSONL event export
 # --------------------------------------------------------------------------- #
 EVENT_REQUIRED_KEYS = {
