@@ -4,7 +4,7 @@ Unlike the E1-E12 benchmarks this one measures the *platform*, not the
 protocols: the same multi-experiment grid is executed through the sweep
 runner with one worker and with several, and the speedup plus the cost of a
 skip-completed resume pass are reported.  Cells are deliberately sized so
-per-cell work dominates process-pool overhead at ``--full-sweep`` scale
+per-cell work dominates child-worker overhead at ``--full-sweep`` scale
 while the default stays CI-friendly.
 """
 
@@ -21,7 +21,7 @@ from repro.orchestration import (
     expand_cells,
 )
 
-#: at least 2 so the ProcessPoolExecutor path is always exercised, even on
+#: at least 2 so the runner's child workers are always exercised, even on
 #: single-core CI runners where the speedup itself degenerates to ~1x.
 PARALLEL_JOBS = max(2, min(4, os.cpu_count() or 1))
 

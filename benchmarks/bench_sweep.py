@@ -1,11 +1,13 @@
-"""Sweep-throughput benchmark: local pool vs distributed queue workers.
+"""Sweep-throughput benchmark: the runner's own workers vs external queue workers.
 
 As a script (``python benchmarks/bench_sweep.py``) it measures cells/sec
-for the same cell workload on three execution paths and appends one
-``sweep_throughput`` row per path to ``BENCH_substrate.json``:
+for the same cell workload on three ways of draining the store queue and
+appends one ``sweep_throughput`` row per way to ``BENCH_substrate.json``:
 
-* ``local-P1`` — the serial in-process baseline;
-* ``local-P4`` — the ``ProcessPoolExecutor`` fan-out;
+* ``local-P1`` — ``SweepRunner(jobs=1)``, draining in-process (the serial
+  baseline);
+* ``local-P4`` — ``SweepRunner(jobs=4)``, draining from four supervised
+  child processes of the runner;
 * ``queue-2`` — two real ``python -m repro worker`` processes pulling
   claims from a shared store (workers are pre-started against an empty
   queue with ``--linger`` so the measured window covers *draining*, not

@@ -36,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..observability.telemetry import current_telemetry
 from ..simulator.failures import FailureModel, LossOracle
 from ..simulator.message import Message, MessageKind, Send
 from ..simulator.metrics import MetricsCollector
@@ -228,7 +229,8 @@ def _run_drr_vectorized(
             active = kernel.compact_frontier(active, found)
 
     forest = Forest(parent=parent, rank=ranks, alive=alive)
-    forest.validate()
+    with current_telemetry().span("core.forest_validate"):
+        forest.validate()
     return DRRResult(
         forest=forest,
         connect_delivered=connect_delivered,
@@ -346,7 +348,8 @@ def _run_drr_engine(
             connect_delivered[child] = True
 
     forest = Forest(parent=parent, rank=ranks, alive=alive)
-    forest.validate()
+    with current_telemetry().span("core.forest_validate"):
+        forest.validate()
     return DRRResult(
         forest=forest,
         connect_delivered=connect_delivered,

@@ -73,7 +73,6 @@ from ..observability import (
 )
 from ..substrate import available_backends, normalize_backend
 from ..orchestration import (
-    EXECUTION_BACKENDS,
     QueueWorker,
     ResultStore,
     SweepDefinition,
@@ -234,19 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute cells even when the store already has their results",
     )
     sweep.add_argument(
-        "--exec",
-        dest="exec_backend",
-        choices=list(EXECUTION_BACKENDS),
-        default="local",
-        help="execution backend: 'local' fans cells over this host's process pool; "
-        "'queue' enqueues them in the store's claimable work queue and drains it "
-        "with --jobs workers (plus any `drr-gossip worker` processes on hosts "
-        "sharing the store)",
-    )
-    sweep.add_argument(
         "--enqueue-only",
         action="store_true",
-        help="with --exec queue: enqueue the cells and exit without draining "
+        help="enqueue the cells in the store's work queue and exit without draining "
         "(start `drr-gossip worker` processes to execute them)",
     )
     sweep.add_argument(
@@ -254,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_LEASE_S,
         metavar="SECS",
-        help="queue backend: heartbeat silence after which a claim is reclaimed",
+        help="seconds without a lease renewal after which a claim is reclaimed",
     )
     sweep.add_argument(
         "--max-attempts",
         type=int,
         default=DEFAULT_MAX_ATTEMPTS,
         metavar="N",
-        help="queue backend: claims per cell before it is marked failed",
+        help="claims per cell before it is marked failed",
     )
 
     worker = sub.add_parser(
@@ -280,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_LEASE_S,
         metavar="SECS",
-        help="heartbeat silence after which another worker's claim is reclaimed",
+        help="seconds without a lease renewal after which another worker's claim is reclaimed",
     )
     worker.add_argument(
         "--max-attempts",
@@ -301,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=15.0,
         metavar="SECS",
-        help="how often an executing cell refreshes its claim's heartbeat row",
+        help="how often an executing cell renews its claim's lease",
     )
     worker.add_argument(
         "--linger",
@@ -355,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_LEASE_S,
         metavar="SECS",
-        help="worker pool: heartbeat silence after which a claim is reclaimed",
+        help="worker pool: seconds without a lease renewal after which a claim is reclaimed",
     )
     serve.add_argument(
         "--max-attempts",
@@ -376,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=15.0,
         metavar="SECS",
-        help="worker pool: how often an executing cell refreshes its heartbeat",
+        help="worker pool: how often an executing cell renews its claim's lease",
     )
     serve.add_argument(
         "--telemetry",
@@ -443,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     results.add_argument(
         "--telemetry",
         action="store_true",
-        help="show stored per-run telemetry summaries and live heartbeat rows",
+        help="show stored per-run telemetry summaries and the in-flight claims",
     )
     results.add_argument(
         "--plot",
@@ -461,15 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
     results.add_argument(
         "--queue",
         action="store_true",
-        help="show the distributed work queue: per-experiment state counts and "
-        "claims whose heartbeats have gone stale",
+        help="show the work queue: per-experiment state counts and "
+        "claims whose leases have gone stale",
     )
     results.add_argument(
         "--stale-after",
         type=float,
         default=DEFAULT_LEASE_S,
         metavar="SECS",
-        help="with --queue: flag claims with no heartbeat for this long as stale",
+        help="with --queue: flag claims with no lease renewal for this long as stale",
     )
     return parser
 
@@ -607,102 +596,11 @@ def _apply_backend(definition: SweepDefinition, backend: str) -> SweepDefinition
     return dataclasses.replace(definition, plans=tuple(plans))
 
 
-def _enqueue_cells(args: argparse.Namespace, cells, name: str) -> int:
-    """``sweep --exec queue --enqueue-only``: fill the queue, let workers drain it."""
-    with ResultStore(args.store) as store:
-        done = store.completed_cells() if not args.no_skip else set()
-        entries: list[tuple[str, str, int, str]] = []
-        seen: set[str] = set()
-        completed = 0
-        for cell in cells:
-            if cell.key in done:
-                completed += 1
-                continue
-            spec = cell.spec_json()
-            if spec in seen:
-                continue
-            seen.add(spec)
-            entries.append((cell.experiment, cell.param_hash, cell.seed, spec))
-        enqueued = store.enqueue_cells(entries)
-        depth = store.queue_depth()
-    duplicates = len(cells) - completed - len(entries)
-    print(
-        f"sweep {name!r}: enqueued {enqueued} of {len(cells)} cell(s) "
-        f"({completed} already completed, {duplicates} duplicate specs)"
-    )
-    print(
-        f"queue: {depth['pending']} pending, {depth['claimed']} claimed, "
-        f"{depth['done']} done, {depth['failed']} failed"
-    )
-    print(f"drain with: drr-gossip worker --store {args.store}")
-    return 0
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        if args.enqueue_only and args.exec_backend != "queue":
-            raise ValueError("--enqueue-only requires --exec queue")
-        if args.spec:
-            if args.config or args.experiments or args.ns or args.seed is not None:
-                raise ValueError(
-                    "--spec cannot be combined with --config/--experiments/--ns/--seed; "
-                    "each run spec carries its own seed (--reps derives extra seeds from it)"
-                )
-            specs = load_specs(args.spec)
-            if args.backend is not None:
-                specs = [spec.with_backend(args.backend) for spec in specs]
-            cells = cells_from_run_specs(specs, repetitions=args.reps if args.reps is not None else 1)
-            if args.enqueue_only:
-                return _enqueue_cells(args, cells, Path(args.spec).stem)
-            with ResultStore(args.store) as store:
-                runner = SweepRunner(
-                    store,
-                    jobs=args.jobs,
-                    backend=args.exec_backend,
-                    skip_completed=not args.no_skip,
-                    lease_s=args.lease,
-                    max_attempts=args.max_attempts,
-                    progress=print_progress,
-                )
-                report = runner.run_cells(cells, name=Path(args.spec).stem)
-            print(report.summary())
-            print(f"store: {args.store}")
-            return 0 if report.failed == 0 else 1
-        if args.config:
-            if args.experiments or args.ns:
-                raise ValueError(
-                    "--config cannot be combined with --experiments/--ns; "
-                    "put the grid in the sweep file (--seed/--reps do override it)"
-                )
-            definition = load_sweep(args.config)
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.reps is not None:
-                # --reps wins over BOTH the sweep-level default and any
-                # per-experiment repetitions in the file.
-                overrides["repetitions"] = args.reps
-                overrides["plans"] = tuple(
-                    dataclasses.replace(plan, repetitions=None) for plan in definition.plans
-                )
-            if overrides:
-                definition = dataclasses.replace(definition, **overrides)
-        else:
-            names = args.experiments or [spec.name for spec in load_builtin_experiments()]
-            grid = {"ns": tuple(args.ns)} if args.ns else {}
-            definition = SweepDefinition.from_experiments(
-                names,
-                grid=grid,
-                seed=args.seed if args.seed is not None else 1,
-                repetitions=args.reps if args.reps is not None else 1,
-            )
-        if args.backend is not None:
-            definition = _apply_backend(definition, args.backend)
-        cells = expand_cells(definition)  # validate experiment names and grids up front
-        if args.enqueue_only:
-            return _enqueue_cells(args, cells, definition.name)
+        cells, name = _sweep_cells(args)
     except (KeyError, ValueError, TypeError, OSError) as exc:
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -711,23 +609,84 @@ def _run_sweep(args: argparse.Namespace) -> int:
         runner = SweepRunner(
             store,
             jobs=args.jobs,
-            backend=args.exec_backend,
             skip_completed=not args.no_skip,
             lease_s=args.lease,
             max_attempts=args.max_attempts,
             progress=print_progress,
         )
-        report = runner.run_cells(cells, name=definition.name)
+        if args.enqueue_only:
+            skipped, queued, enqueued = runner.enqueue(cells)
+            depth = store.queue_depth()
+        else:
+            report = runner.run_cells(cells, name=name)
+    if args.enqueue_only:
+        duplicates = len(cells) - len(skipped) - len(queued)
+        print(
+            f"sweep {name!r}: enqueued {enqueued} of {len(cells)} cell(s) "
+            f"({len(skipped)} already completed, {duplicates} duplicate specs)"
+        )
+        print(
+            f"queue: {depth['pending']} pending, {depth['claimed']} claimed, "
+            f"{depth['done']} done, {depth['failed']} failed"
+        )
+        print(f"drain with: drr-gossip worker --store {args.store}")
+        return 0
     print(report.summary())
     print(f"store: {args.store}")
     return 0 if report.failed == 0 else 1
+
+
+def _sweep_cells(args: argparse.Namespace) -> tuple[list, str]:
+    """The sweep's cells and name, from ``--spec``, ``--config`` or the flags."""
+    if args.spec:
+        if args.config or args.experiments or args.ns or args.seed is not None:
+            raise ValueError(
+                "--spec cannot be combined with --config/--experiments/--ns/--seed; "
+                "each run spec carries its own seed (--reps derives extra seeds from it)"
+            )
+        specs = load_specs(args.spec)
+        if args.backend is not None:
+            specs = [spec.with_backend(args.backend) for spec in specs]
+        cells = cells_from_run_specs(specs, repetitions=args.reps if args.reps is not None else 1)
+        return cells, Path(args.spec).stem
+    if args.config:
+        if args.experiments or args.ns:
+            raise ValueError(
+                "--config cannot be combined with --experiments/--ns; "
+                "put the grid in the sweep file (--seed/--reps do override it)"
+            )
+        definition = load_sweep(args.config)
+        overrides = {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if args.reps is not None:
+            # --reps wins over BOTH the sweep-level default and any
+            # per-experiment repetitions in the file.
+            overrides["repetitions"] = args.reps
+            overrides["plans"] = tuple(
+                dataclasses.replace(plan, repetitions=None) for plan in definition.plans
+            )
+        if overrides:
+            definition = dataclasses.replace(definition, **overrides)
+    else:
+        names = args.experiments or [spec.name for spec in load_builtin_experiments()]
+        grid = {"ns": tuple(args.ns)} if args.ns else {}
+        definition = SweepDefinition.from_experiments(
+            names,
+            grid=grid,
+            seed=args.seed if args.seed is not None else 1,
+            repetitions=args.reps if args.reps is not None else 1,
+        )
+    if args.backend is not None:
+        definition = _apply_backend(definition, args.backend)
+    return expand_cells(definition), definition.name  # validates names and grids up front
 
 
 def _run_worker(args: argparse.Namespace) -> int:
     if args.store != ":memory:" and not Path(args.store).exists():
         print(
             f"no result store at {args.store} "
-            "(enqueue cells with `drr-gossip sweep --exec queue --enqueue-only` first)",
+            "(enqueue cells with `drr-gossip sweep --enqueue-only` first)",
             file=sys.stderr,
         )
         return 1
@@ -749,7 +708,7 @@ def _run_worker(args: argparse.Namespace) -> int:
                 progress=print_worker_progress,
             )
             # SIGTERM/SIGINT mid-cell releases the claim (back to pending,
-            # heartbeat deleted) and ends the drain with report.stopped set.
+            # lease cleared) and ends the drain with report.stopped set.
             with signal_shutdown():
                 report = worker.drain()
     except ValueError as exc:
@@ -821,7 +780,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _print_queue_view(store: ResultStore, experiment: str | None, stale_after: float) -> None:
     counts = store.queue_counts(experiment)
     if not counts:
-        print("queue: empty (enqueue cells with `drr-gossip sweep --exec queue --enqueue-only`)")
+        print("queue: empty (enqueue cells with `drr-gossip sweep --enqueue-only`)")
         return
     print(f"{'experiment':<20} {'pending':>8} {'claimed':>8} {'done':>6} {'failed':>6}")
     for row in counts:
@@ -829,11 +788,9 @@ def _print_queue_view(store: ResultStore, experiment: str | None, stale_after: f
             f"{row['experiment']:<20} {row['pending']:>8} {row['claimed']:>8} "
             f"{row['done']:>6} {row['failed']:>6}"
         )
-    stale = store.stale_claims(stale_after)
-    if experiment is not None:
-        stale = [row for row in stale if row["experiment"] == experiment]
+    stale = store.claims(experiment, older_than_s=stale_after)
     if stale:
-        print(f"\nstale claims (no heartbeat for > {stale_after:.0f}s; workers reclaim these):")
+        print(f"\nstale claims (no lease renewal for > {stale_after:.0f}s; workers reclaim these):")
         print(f"{'experiment':<20} {'param_hash':<14} {'seed':>5} {'attempt':>7} {'age':>8}  owner")
         for row in stale:
             print(
@@ -981,13 +938,13 @@ def _run_results(args: argparse.Namespace) -> int:
                 print(format_telemetry(run.telemetry))
             if not shown:
                 print("\n(no stored rows carry telemetry; sweep specs with telemetry=true record it)")
-            beats = store.heartbeats(experiment=args.experiment)
-            if beats:
+            claims = store.claims(args.experiment)
+            if claims:
                 print(f"\n{'experiment':<20} {'param_hash':<14} {'seed':>5} {'age':>8}  worker")
-                for beat in beats:
+                for claim in claims:
                     print(
-                        f"{beat['experiment']:<20} {beat['param_hash'][:12]:<14} "
-                        f"{beat['seed']:>5} {beat['age_s']:>7.1f}s  {beat['worker'] or '-'}"
+                        f"{claim['experiment']:<20} {claim['param_hash'][:12]:<14} "
+                        f"{claim['seed']:>5} {claim['age_s']:>7.1f}s  {claim['owner'] or '-'}"
                     )
         if args.json:
             path = store.export_json(args.json, args.experiment)

@@ -2,10 +2,10 @@
 
 A :class:`Heartbeat` is a daemon thread that periodically prints a one-line
 elapsed/phase/rounds summary from ``Telemetry.snapshot()`` to stderr.  It is
-the interactive sibling of the sweep heartbeat *timestamps* that
-``SweepRunner`` writes to the result store: the thread tells a human the run
-is alive, the store column tells a future multi-host scheduler the same
-thing.
+the interactive sibling of the lease stamps (``queue.heartbeat_at``) that
+queue workers renew in the result store while they execute a sweep cell:
+the thread tells a human the run is alive, the stamp tells the other
+workers sharing the store the same thing.
 """
 
 from __future__ import annotations

@@ -5,10 +5,13 @@ This subsystem turns the reproduction harness into an experiment platform:
 * :mod:`~repro.orchestration.registry` — the declarative experiment
   registry (drivers register by name; grids validate and expand against
   typed parameter specs).
-* :mod:`~repro.orchestration.store` — the SQLite result store, keyed by
-  ``(experiment, canonical param hash, seed)`` with resume semantics.
-* :mod:`~repro.orchestration.runner` — the parallel sweep runner
-  (process-pool fan-out, per-cell crash capture, deterministic seeds).
+* :mod:`~repro.orchestration.store` — the SQLite result store and work
+  queue, keyed by ``(experiment, canonical param hash, seed)`` with resume
+  semantics.
+* :mod:`~repro.orchestration.runner` — the sweep runner (queues the cells,
+  drains the queue in-process or from child workers, deterministic seeds).
+* :mod:`~repro.orchestration.worker` — the queue worker loop every sweep
+  drains through (claim, execute, write back; per-cell crash capture).
 * :mod:`~repro.orchestration.config` — TOML/JSON sweep definitions.
 
 Typical use::
@@ -23,7 +26,6 @@ Typical use::
     print(report.summary())
 """
 
-from .backends import QUEUE_STATES, QueuedCell, StoreBackend
 from .config import ExperimentPlan, SweepDefinition, load_sweep
 from .registry import (
     DEFAULT_REGISTRY,
@@ -36,7 +38,6 @@ from .registry import (
     register_experiment,
 )
 from .runner import (
-    EXECUTION_BACKENDS,
     CellOutcome,
     SweepCell,
     SweepReport,
@@ -46,6 +47,8 @@ from .runner import (
     print_progress,
 )
 from .store import (
+    QUEUE_STATES,
+    QueuedCell,
     ResultStore,
     StoredRun,
     canonical_params,
@@ -66,8 +69,6 @@ from .worker import (
 __all__ = [
     "QUEUE_STATES",
     "QueuedCell",
-    "StoreBackend",
-    "EXECUTION_BACKENDS",
     "QueueWorker",
     "WorkerReport",
     "WorkerShutdown",

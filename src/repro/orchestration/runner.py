@@ -1,9 +1,10 @@
-"""Parallel sweep execution over a process pool.
+"""Sweep execution: expand a sweep into cells, queue them, drain the queue.
 
 The runner expands a :class:`~repro.orchestration.config.SweepDefinition`
 into independent cells — one ``(experiment, params, seed)`` triple per grid
-point and repetition — and fans them out over
-:class:`concurrent.futures.ProcessPoolExecutor`.  Design invariants:
+point and repetition — enqueues them in the result store's work queue and
+drains it with the queue worker (:mod:`~repro.orchestration.worker`), in
+this process or in ``jobs`` child processes.  Design invariants:
 
 * **Determinism.** Every cell's seed is derived in the parent from the
   sweep's master seed via the existing :class:`~repro.simulator.rng.RngStream`
@@ -13,7 +14,8 @@ point and repetition — and fans them out over
   produce bit-identical stores.
 * **Isolation.** A crashed cell records a ``failed`` row (with traceback)
   in the store instead of killing the sweep; failed cells are retried on
-  the next invocation.
+  the next invocation.  A cell that kills its worker process is handed
+  back and retried, up to ``max_attempts`` claims.
 * **Resume.** With ``skip_completed`` (the default), cells whose key
   already has a successful row in the store are skipped without executing,
   so re-running a finished sweep executes zero cells.
@@ -22,34 +24,21 @@ Workers receive every cell as one *serialised spec string* — either an
 experiment cell (``{"experiment", "params", "seed"}``) resolved by name
 through the default registry, or a protocol :class:`~repro.api.RunSpec`
 document executed through :func:`repro.run`.  Nothing but that string
-crosses the process boundary, which is what makes the runner's execution
-backends pure transport choices:
+crosses the queue, so ``drr-gossip worker`` processes on any host sharing
+the store can drain a sweep's cells alongside the runner's own.
 
-* ``local`` — fan the cells over a :class:`ProcessPoolExecutor` on this
-  host (the default, and the only option before the queue existed).
-* ``queue`` — enqueue the cells as pending rows in the store's work
-  queue and let pull-based workers (this process, and any number of
-  ``drr-gossip worker`` processes on hosts sharing the store) claim and
-  execute them; see :mod:`~repro.orchestration.worker`.
-
-Identical cells are *content-addressed*: cells whose serialised spec
-strings are equal collapse onto one execution, and the duplicates are
-reported as ``cached`` — on the queue backend a claim additionally
-checks the store for an already-recorded result before executing, so
-re-submitted specs are served from cache across sweeps too.
+Identical cells are *content-addressed*: cells whose spec hashes are
+equal collapse onto one queue row and execution, and the duplicates are
+reported as ``cached``; a claim additionally checks the store for an
+already-recorded result before executing, so re-submitted specs are
+served from cache across sweeps too.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+import multiprocessing
 from dataclasses import dataclass, field
-from pathlib import Path
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Mapping, Sequence
 
 from ..observability.logs import get_logger
@@ -57,11 +46,17 @@ from ..simulator.rng import RngStream, derive_seed
 from .config import SweepDefinition
 from .registry import ExperimentRegistry, load_builtin_experiments
 from .store import ResultStore, cell_spec_hash, cell_spec_json, param_hash
+from .worker import (
+    DEFAULT_LEASE_S,
+    DEFAULT_MAX_ATTEMPTS,
+    QueueWorker,
+    WorkerReport,
+    default_worker_id,
+)
 
 _logger = get_logger("orchestration.runner")
 
 __all__ = [
-    "EXECUTION_BACKENDS",
     "SweepCell",
     "CellOutcome",
     "SweepReport",
@@ -69,15 +64,6 @@ __all__ = [
     "expand_cells",
     "cells_from_run_specs",
 ]
-
-#: how a sweep's cells reach their executors: a process pool on this host,
-#: or the store's claimable work queue (any number of hosts)
-EXECUTION_BACKENDS = ("local", "queue")
-
-#: largest estimate vector persisted inside a stored RunResult envelope;
-#: beyond this the vector is dropped (marked ``estimates_omitted``) so a
-#: single n=10^8 cell cannot bloat the store or the service's responses
-MAX_ENVELOPE_ESTIMATES = 65536
 
 
 @dataclass(frozen=True)
@@ -238,86 +224,41 @@ def cells_from_run_specs(specs: Sequence, repetitions: int = 1) -> list[SweepCel
     return cells
 
 
-def _execute_cell(spec_json: str) -> dict[str, Any]:
-    """Run one serialised cell; never raises (crashes become a failure payload).
+def _drain_pending(
+    store_path: str, worker_id: str, options: dict[str, Any], events: Connection
+) -> None:
+    """Child-process body of a ``jobs > 1`` sweep.
 
-    Module-level so the process pool can pickle it.  The single string
-    argument is the whole contract between the fan-out and a worker: a
-    ``{"protocol": ...}`` document dispatches through :func:`repro.run`,
-    a ``{"experiment": ...}`` document resolves the registered driver by
-    name (parameters re-validated through the registry schema, which
-    restores tuples/enums the JSON transport flattened).
+    Runs the queue worker's claim → execute → write-back step until no
+    cell is pending, sending the spec hash of every cell it finishes to
+    the parent over ``events``.
     """
-    start = time.perf_counter()
-    try:
-        payload = json.loads(spec_json)
-        telemetry_doc = None
-        envelope_doc = None
-        if "protocol" in payload:
-            from ..api import RunSpec
-            from ..api import run as run_spec_fn
-
-            envelope = run_spec_fn(RunSpec.from_dict(payload))
-            result = envelope.to_experiment_result()
-            telemetry_doc = envelope.telemetry
-            # The full RunResult document is carried back alongside the
-            # store-row projection so it can be persisted verbatim — the
-            # content-addressed cache the simulation service serves from.
-            envelope_doc = envelope.to_dict()
-            estimates = envelope_doc.get("estimates")
-            if estimates is not None and len(estimates) > MAX_ENVELOPE_ESTIMATES:
-                envelope_doc["estimates"] = None
-                envelope_doc["estimates_omitted"] = len(estimates)
-        else:
-            spec = load_builtin_experiments().get(payload["experiment"])
-            params = spec.validate_params(payload.get("params", {}))
-            result = spec.driver(seed=int(payload["seed"]), **params)
-        out = {"ok": True, "result": result, "duration_s": time.perf_counter() - start}
-        if telemetry_doc is not None:
-            out["telemetry"] = telemetry_doc
-        if envelope_doc is not None:
-            out["envelope"] = envelope_doc
-        return out
-    except Exception:  # KeyboardInterrupt/SystemExit propagate: a sweep must stay interruptible
-        return {
-            "ok": False,
-            "error": traceback.format_exc(),
-            "duration_s": time.perf_counter() - start,
-        }
-
-
-def _execute_cell_isolated(cell: "SweepCell") -> dict[str, Any]:
-    """Run one cell in a dedicated single-worker pool.
-
-    Used for cells caught in a pool breakage twice: in isolation, a worker
-    death can only be this cell's own doing, so the failure row it records
-    names the true culprit instead of an innocent batchmate.
-    """
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(_execute_cell, cell.spec_json())
-        try:
-            return future.result()
-        except BrokenExecutor:
-            return {
-                "ok": False,
-                "error": "worker process died (pool broken) while executing this cell in isolation",
-                "duration_s": 0.0,
-            }
-        except Exception:
-            return {"ok": False, "error": traceback.format_exc(), "duration_s": 0.0}
+    with ResultStore(store_path) as store:
+        worker = QueueWorker(
+            store,
+            worker_id=worker_id,
+            progress=lambda cell, status, duration_s: events.send(cell.spec_hash),
+            **options,
+        )
+        report = WorkerReport(worker=worker_id)
+        while worker.step(report) is None:
+            pass
+    events.close()
 
 
 class SweepRunner:
-    """Fan a sweep's cells out to an execution backend and persist every outcome.
+    """Queue a sweep's cells in the store, drain the queue, report every outcome.
 
-    ``backend="local"`` executes on this host's process pool (``jobs``
-    workers).  ``backend="queue"`` enqueues the cells into the store's
-    claimable work queue and drains it: with ``jobs == 1`` the runner
-    itself works the queue in-process, with ``jobs > 1`` it launches that
-    many ``python -m repro worker`` processes — and in both cases any
-    *additional* workers pointed at the same store (other hosts sharing
-    the filesystem) claim cells right alongside, shrinking the wall
-    clock without any coordination beyond the store itself.
+    ``jobs == 1`` drains the queue in this process; ``jobs > 1`` runs that
+    many child processes, each repeating the queue worker's claim →
+    execute → write-back step until nothing is pending.  The parent
+    supervises them: a child that dies mid-cell has its claim handed back
+    at once (keeping the attempt count, so a cell that keeps killing its
+    worker ends as a failure row after ``max_attempts`` claims) and fresh
+    children start while cells are pending.  Any *additional* workers
+    pointed at the same store (``drr-gossip worker`` on hosts sharing the
+    filesystem) claim cells right alongside; their claims are waited out,
+    and reclaimed once their lease goes stale.
     """
 
     def __init__(
@@ -325,19 +266,15 @@ class SweepRunner:
         store: ResultStore,
         *,
         jobs: int = 1,
-        backend: str = "local",
         skip_completed: bool = True,
         registry: ExperimentRegistry | None = None,
         progress: Callable[[CellOutcome, int, int], None] | None = None,
         heartbeat_interval_s: float = 15.0,
-        lease_s: float = 60.0,
-        max_attempts: int = 3,
+        lease_s: float = DEFAULT_LEASE_S,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if backend not in EXECUTION_BACKENDS:
-            known = ", ".join(EXECUTION_BACKENDS)
-            raise ValueError(f"unknown execution backend {backend!r} (choose from: {known})")
         if heartbeat_interval_s <= 0:
             raise ValueError(f"heartbeat_interval_s must be positive, got {heartbeat_interval_s}")
         if lease_s <= 0:
@@ -346,226 +283,165 @@ class SweepRunner:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.store = store
         self.jobs = jobs
-        self.backend = backend
         self.skip_completed = skip_completed
         self.registry = registry
         self.progress = progress
-        #: how often in-flight cells refresh their store heartbeat while no
-        #: cell finishes — both the local pool's liveness signal and the
-        #: lease the queue backend reclaims stale claims on
+        #: how often an executing cell renews its claim's lease
         self.heartbeat_interval_s = float(heartbeat_interval_s)
-        #: queue backend: seconds of heartbeat silence before a claim is stale
+        #: seconds without a lease renewal before a claim is stale
         self.lease_s = float(lease_s)
-        #: queue backend: claims per cell before it is marked failed
+        #: claims per cell before it is marked failed
         self.max_attempts = int(max_attempts)
-        #: duplicate cells (identical serialised spec) keyed by the spec of
-        #: their executed representative; rebuilt on every run_cells call
-        self._dupes: dict[str, list[SweepCell]] = {}
+        #: queued cells not yet reported, by spec hash; the first of each
+        #: list was enqueued, the rest are content-identical twins
+        self._waiting: dict[str, list[SweepCell]] = {}
 
     def run(self, definition: SweepDefinition) -> SweepReport:
         return self.run_cells(expand_cells(definition, self.registry), name=definition.name)
 
-    def run_cells(self, cells: Sequence[SweepCell], name: str = "cells") -> SweepReport:
-        """Execute an explicit cell list (sweep definitions and spec files both land here)."""
-        report = SweepReport(sweep=name)
+    def enqueue(self, cells: Sequence[SweepCell]) -> tuple[list[SweepCell], list[SweepCell], int]:
+        """Queue the cells that still need a run; returns ``(skipped, queued, newly_pending)``.
+
+        With ``skip_completed``, cells whose key already has a successful
+        row are skipped.  Content-identical cells (equal spec hashes)
+        collapse onto one queue row: ``queued`` holds one cell per row, and
+        the twins are remembered for :meth:`run_cells` to report.
+        """
         done_keys = self.store.completed_cells() if self.skip_completed else set()
-        todo: list[SweepCell] = []
-        self._dupes = {}
+        skipped: list[SweepCell] = []
+        self._waiting = {}
         for cell in cells:
             if cell.key in done_keys:
-                report.outcomes.append(CellOutcome(cell=cell, status="skipped"))
-                continue
-            # Content-addressed dedup: identical serialised specs collapse
-            # onto one execution; the twins get the result fanned out.
-            spec = cell.spec_json()
-            if spec in self._dupes:
-                self._dupes[spec].append(cell)
+                skipped.append(cell)
             else:
-                self._dupes[spec] = []
-                todo.append(cell)
+                self._waiting.setdefault(cell_spec_hash(cell.spec_json()), []).append(cell)
+        queued = [group[0] for group in self._waiting.values()]
+        pending = self.store.enqueue_cells(
+            (cell.experiment, cell.param_hash, cell.seed, cell.spec_json()) for cell in queued
+        ) if queued else 0
+        return skipped, queued, pending
 
-        for index, outcome in enumerate(report.outcomes, start=1):
-            self._emit(outcome, index, len(cells))
-
-        if todo:
-            if self.backend == "queue":
-                self._run_queue(report, todo, len(cells))
-            elif self.jobs == 1:
-                for cell in todo:
-                    self.store.mark_heartbeat(cell.experiment, cell.params, cell.seed)
-                    payload = _execute_cell(cell.spec_json())
-                    self._record(report, cell, payload, len(cells))
-            else:
-                self._run_pool(report, todo, len(cells))
+    def run_cells(self, cells: Sequence[SweepCell], name: str = "cells") -> SweepReport:
+        """Execute an explicit cell list (sweep definitions and spec files both land here)."""
+        if self.jobs > 1 and str(self.store.path) == ":memory:":
+            raise ValueError(
+                "jobs > 1 runs worker processes and needs a file-backed store, not ':memory:'"
+            )
+        report = SweepReport(sweep=name)
+        total = len(cells)
+        skipped, queued, _ = self.enqueue(cells)
+        for cell in skipped:
+            report.outcomes.append(CellOutcome(cell=cell, status="skipped"))
+            self._emit(report.outcomes[-1], len(report.outcomes), total)
+        if queued:
+            if self.jobs > 1:
+                self._drain_children(report, total)
+            # Waits out claims other hosts hold (reclaiming stale ones) and
+            # runs whatever is still pending in this process.
+            QueueWorker(
+                self.store,
+                progress=lambda cell, status, duration_s: self._land(report, cell.spec_hash, total),
+                **self._worker_options(),
+            ).drain()
+        # Cells some other worker ran, or that never ran at all.
+        for spec_hash in list(self._waiting):
+            self._land(report, spec_hash, total)
         return report
 
-    def _run_pool(self, report: SweepReport, todo: Sequence[SweepCell], total: int) -> None:
-        # Load driver registrations before forking so workers inherit them
-        # and the fallback in-worker import only matters under spawn.
+    def _worker_options(self) -> dict[str, Any]:
+        return {
+            "lease_s": self.lease_s,
+            "max_attempts": self.max_attempts,
+            "heartbeat_interval_s": self.heartbeat_interval_s,
+            "skip_completed": self.skip_completed,
+        }
+
+    def _drain_children(self, report: SweepReport, total: int) -> None:
+        """Run up to ``jobs`` child workers until none is left and nothing is pending."""
+        # Load driver registrations before forking so children inherit them.
         load_builtin_experiments()
-        queue = list(todo)
-        retried: set[tuple[str, str, int]] = set()
-        while queue:
-            # A dead worker (OOM-kill, segfault) breaks the whole pool: every
-            # in-flight future raises BrokenExecutor even though its cell never
-            # ran.  Those cells are requeued into a fresh pool once; a cell
-            # whose retry also breaks the pool is recorded as the culprit.
-            broken: list[SweepCell] = []
-            with ProcessPoolExecutor(max_workers=min(self.jobs, len(queue))) as pool:
-                pending = {
-                    pool.submit(_execute_cell, cell.spec_json()): cell for cell in queue
-                }
-                for cell in queue:
-                    self.store.mark_heartbeat(cell.experiment, cell.params, cell.seed)
-                queue = []
-                while pending:
-                    finished, _ = wait(
-                        pending,
-                        timeout=self.heartbeat_interval_s,
-                        return_when=FIRST_COMPLETED,
+        children: dict[str, tuple[multiprocessing.Process, Connection]] = {}
+        prefix = default_worker_id()
+        started = 0
+        spawn = True
+        try:
+            while True:
+                pending = self.store.queue_depth()["pending"] if spawn else 0
+                for _ in range(min(self.jobs - len(children), pending)):
+                    owner = f"{prefix}:c{started}"
+                    started += 1
+                    reader, writer = multiprocessing.Pipe(duplex=False)
+                    child = multiprocessing.Process(
+                        target=_drain_pending,
+                        args=(str(self.store.path), owner, self._worker_options(), writer),
+                        name=owner,
                     )
-                    if not finished:
-                        # Nothing completed within the interval: refresh the
-                        # in-flight claims so their heartbeats stay fresh.
-                        for cell in pending.values():
-                            self.store.mark_heartbeat(cell.experiment, cell.params, cell.seed)
+                    child.start()
+                    writer.close()
+                    children[owner] = (child, reader)
+                if not children:
+                    return
+                wait([child.sentinel for child, _ in children.values()]
+                     + [reader for _, reader in children.values()])
+                for owner, (child, reader) in list(children.items()):
+                    try:
+                        while reader.poll():
+                            self._land(report, reader.recv(), total)
+                    except EOFError:
+                        child.join()  # its end of the pipe closed: it is exiting
+                    if child.exitcode is None:
                         continue
-                    for future in finished:
-                        cell = pending.pop(future)
-                        try:
-                            payload = future.result()
-                        except BrokenExecutor:
-                            broken.append(cell)
-                            continue
-                        except Exception:
-                            payload = {
-                                "ok": False,
-                                "error": traceback.format_exc(),
-                                "duration_s": 0.0,
-                            }
-                        self._record(report, cell, payload, total)
-            for cell in broken:
-                if cell.key in retried:
-                    # Broken twice: run it alone in a single-worker pool so a
-                    # poison cell can only take itself down, never a batchmate.
-                    self._record(report, cell, _execute_cell_isolated(cell), total)
-                else:
-                    retried.add(cell.key)
-                    queue.append(cell)
+                    reader.close()
+                    del children[owner]
+                    released = self._release_claims(owner)
+                    if child.exitcode != 0:
+                        _logger.warning(
+                            "sweep worker %s exited with code %d; %d claim(s) handed back",
+                            owner, child.exitcode, released,
+                        )
+                        if not released:
+                            # It died without a cell to blame: starting more
+                            # children could loop forever, so let this
+                            # process run what is left.
+                            spawn = False
+        finally:
+            for owner, (child, reader) in children.items():
+                child.terminate()
+                child.join()
+                reader.close()
+                self._release_claims(owner)
 
-    def _run_queue(self, report: SweepReport, todo: Sequence[SweepCell], total: int) -> None:
-        """Enqueue the cells into the store's work queue and drain it."""
-        store = self.store
-        if str(store.path) == ":memory:" and self.jobs > 1:
-            raise ValueError(
-                "the queue backend with jobs > 1 launches worker processes and "
-                "needs a file-backed store, not ':memory:'"
+    def _release_claims(self, owner: str) -> int:
+        """Hand a finished child's claims back to pending; returns how many."""
+        held = [cell for cell in self.store.queue_cells("claimed") if cell.owner == owner]
+        for cell in held:
+            self.store.requeue_cell(cell.key)
+        return len(held)
+
+    def _land(self, report: SweepReport, spec_hash: str | None, total: int) -> None:
+        """Report one queued cell (and its twins) from what the store recorded for it."""
+        group = self._waiting.pop(spec_hash, None) if spec_hash is not None else None
+        if group is None:
+            return  # a cell of another sweep sharing the queue
+        run = self.store.get_by_spec_hash(spec_hash)
+        if run is None:
+            error: str | None = (
+                "cell never executed: the queue drain ended without a stored "
+                "result (all workers died?); re-run the sweep to retry it"
             )
-        store.enqueue_cells(
-            (cell.experiment, cell.param_hash, cell.seed, cell.spec_json()) for cell in todo
-        )
-        if self.jobs == 1:
-            from .worker import QueueWorker  # local import: worker imports this module
-
-            QueueWorker(
-                store,
-                lease_s=self.lease_s,
-                max_attempts=self.max_attempts,
-                heartbeat_interval_s=self.heartbeat_interval_s,
-                skip_completed=self.skip_completed,
-            ).drain()
+            duration = 0.0
         else:
-            self._drain_with_worker_processes()
-        # The queue decoupled execution from this process (other workers may
-        # have run some cells), so outcomes are synthesised from what
-        # actually landed in the store — looked up by content address, the
-        # same key the workers' cache checks and the service use — in cell
-        # order.
-        for cell in todo:
-            run = store.get_by_spec_hash(cell_spec_hash(cell.spec_json()))
-            if run is None:
-                payload: dict[str, Any] = {
-                    "ok": False,
-                    "error": (
-                        "cell never executed: the queue drain ended without a stored "
-                        "result (all workers died?); re-run the sweep to retry it"
-                    ),
-                    "duration_s": 0.0,
-                    "already_recorded": True,
-                }
-            elif run.ok:
-                payload = {"ok": True, "duration_s": run.duration_s or 0.0, "already_recorded": True}
-            else:
-                payload = {
-                    "ok": False,
-                    "error": run.error or "unknown failure",
-                    "duration_s": run.duration_s or 0.0,
-                    "already_recorded": True,
-                }
-            self._record(report, cell, payload, total)
-
-    def _drain_with_worker_processes(self) -> None:
-        """Launch ``self.jobs`` queue workers as subprocesses and wait them out."""
-        import repro
-
-        env = dict(os.environ)
-        package_root = str(Path(repro.__file__).resolve().parents[1])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = package_root + (os.pathsep + existing if existing else "")
-        command = [
-            sys.executable, "-m", "repro", "worker",
-            "--store", str(self.store.path),
-            "--lease", str(self.lease_s),
-            "--max-attempts", str(self.max_attempts),
-            "--heartbeat", str(self.heartbeat_interval_s),
-        ]
-        if not self.skip_completed:
-            command.append("--no-skip")
-        workers = [
-            subprocess.Popen(command + ["--worker-id", f"{os.getpid()}:w{index}"], env=env)
-            for index in range(self.jobs)
-        ]
-        for proc in workers:
-            code = proc.wait()
-            if code not in (0, 1):  # 1 = drained but some cells failed; rows say which
-                _logger.warning("queue worker %s exited with code %d", proc.args[-1], code)
-
-    def _record(self, report: SweepReport, cell: SweepCell, payload: Mapping[str, Any], total: int) -> None:
-        duration = float(payload.get("duration_s", 0.0))
-        if payload["ok"]:
-            if not payload.get("already_recorded"):
-                telemetry = payload.get("telemetry")
-                envelope = payload.get("envelope")
-                self.store.record_result(
-                    cell.experiment, cell.params, cell.seed, payload["result"], duration,
-                    spec_json=cell.spec_json(),
-                    telemetry_json=(
-                        json.dumps(telemetry, sort_keys=True) if telemetry is not None else None
-                    ),
-                    result_json=(
-                        json.dumps(envelope, sort_keys=True) if envelope is not None else None
-                    ),
-                )
-            outcome = CellOutcome(cell=cell, status="ok", duration_s=duration)
-        else:
-            if not payload.get("already_recorded"):
-                _logger.warning("cell %s failed:\n%s", cell.describe(), payload["error"])
-                self.store.record_failure(
-                    cell.experiment, cell.params, cell.seed, payload["error"], duration,
-                    spec_json=cell.spec_json(),
-                )
-            outcome = CellOutcome(cell=cell, status="failed", duration_s=duration, error=payload["error"])
-        report.outcomes.append(outcome)
-        self._emit(outcome, len(report.outcomes), total)
-        # Fan the executed result out to content-identical duplicates: same
-        # spec string means same store row, so nothing else is recorded.
-        for twin in self._dupes.get(cell.spec_json(), ()):
-            if payload["ok"]:
-                twin_outcome = CellOutcome(cell=twin, status="cached")
-            else:
-                twin_outcome = CellOutcome(cell=twin, status="failed", error=payload["error"])
-            report.outcomes.append(twin_outcome)
-            self._emit(twin_outcome, len(report.outcomes), total)
+            error = None if run.ok else (run.error or "unknown failure")
+            duration = run.duration_s or 0.0
+        status = "ok" if error is None else "failed"
+        cell, twins = group[0], group[1:]
+        report.outcomes.append(CellOutcome(cell=cell, status=status, duration_s=duration, error=error))
+        self._emit(report.outcomes[-1], len(report.outcomes), total)
+        # Content-identical twins share the row: same outcome, nothing re-run.
+        for twin in twins:
+            twin_status = "cached" if error is None else "failed"
+            report.outcomes.append(CellOutcome(cell=twin, status=twin_status, error=error))
+            self._emit(report.outcomes[-1], len(report.outcomes), total)
 
     def _emit(self, outcome: CellOutcome, index: int, total: int) -> None:
         if self.progress is not None:

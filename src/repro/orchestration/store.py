@@ -1,4 +1,4 @@
-"""SQLite-backed persistence for experiment results.
+"""SQLite-backed persistence for experiment results and the sweep work queue.
 
 Every sweep cell — one ``(experiment, canonical parameter hash, seed)``
 triple — maps to exactly one row.  Rows, headers, and metadata of the
@@ -7,16 +7,32 @@ the store needs no schema migration when a driver adds a column; the
 UNIQUE key gives the sweep runner its skip-completed resume semantics and
 makes re-running a crashed cell an upsert rather than a duplicate.
 
-The store is written concurrently: the local sweep parent, any number of
-``drr-gossip worker`` processes on hosts sharing the filesystem, and the
-heartbeat threads they run all hold their own connections.  WAL mode plus
-a configurable ``busy_timeout`` make concurrent writers queue instead of
-crash, every write retries on ``SQLITE_BUSY``, and the work-queue claim
-(:meth:`ResultStore.claim_cell`) takes the write lock up front with
-``BEGIN IMMEDIATE`` so a pending row is handed to exactly one claimant.
-The queue/claim surface is pinned down by
-:class:`~repro.orchestration.backends.StoreBackend` so a server-grade
-database can replace SQLite without touching the runner or workers.
+The store is written concurrently: the sweep parent, its child workers,
+any number of ``drr-gossip worker`` processes on hosts sharing the
+filesystem, and the lease threads they run all hold their own
+connections.  WAL mode plus a configurable ``busy_timeout`` make
+concurrent writers queue instead of crash, every write retries on
+``SQLITE_BUSY``, and the work-queue claim (:meth:`ResultStore.claim_cell`)
+takes the write lock up front with ``BEGIN IMMEDIATE`` so a pending row is
+handed to exactly one claimant.
+
+Queue lifecycle
+---------------
+Every sweep runs through the ``queue`` table.  A queued cell is one row
+keyed by the same identity the result rows use and moves through::
+
+    pending --claim--> claimed --finish--> done | failed
+       ^                  |
+       +--reclaim/requeue-+          (attempt += 1 on every claim)
+
+* **claim** is atomic: exactly one worker wins a pending row, and the row
+  records ``owner``, ``claim_time`` and its lease stamp ``heartbeat_at``.
+* **claimed** rows stay alive while their owner renews ``heartbeat_at``
+  (:meth:`ResultStore.renew_lease`); a claim whose stamp is older than the
+  lease is *stale* and goes back to pending (its worker died).
+* **fail_exhausted** stops a poison cell that keeps killing its workers:
+  once a pending row has been claimed ``max_attempts`` times without a
+  recorded result, it is marked failed instead of looping forever.
 """
 
 from __future__ import annotations
@@ -34,9 +50,10 @@ import numpy as np
 from ..observability.logs import get_logger
 from ..serialization import canonical_json, canonical_value, stable_digest
 from ..substrate import DEFAULT_BACKEND
-from .backends import QueuedCell, StoreBackend
 
 __all__ = [
+    "QUEUE_STATES",
+    "QueuedCell",
     "ResultStore",
     "StoredRun",
     "canonical_params",
@@ -77,15 +94,6 @@ CREATE TABLE IF NOT EXISTS runs (
     UNIQUE (experiment, param_hash, seed)
 );
 CREATE INDEX IF NOT EXISTS idx_runs_experiment ON runs (experiment, status);
-CREATE TABLE IF NOT EXISTS heartbeats (
-    experiment   TEXT NOT NULL,
-    param_hash   TEXT NOT NULL,
-    seed         INTEGER NOT NULL,
-    worker       TEXT NOT NULL DEFAULT '',
-    started_at   TEXT NOT NULL DEFAULT (datetime('now')),
-    heartbeat_at TEXT NOT NULL DEFAULT (datetime('now')),
-    UNIQUE (experiment, param_hash, seed)
-);
 CREATE TABLE IF NOT EXISTS queue (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
     experiment  TEXT NOT NULL,
@@ -97,6 +105,7 @@ CREATE TABLE IF NOT EXISTS queue (
                 CHECK (state IN ('pending', 'claimed', 'done', 'failed')),
     owner       TEXT,
     claim_time  TEXT,
+    heartbeat_at TEXT,
     attempt     INTEGER NOT NULL DEFAULT 0,
     enqueued_at TEXT NOT NULL DEFAULT (datetime('now')),
     UNIQUE (experiment, param_hash, seed)
@@ -111,17 +120,12 @@ CREATE INDEX IF NOT EXISTS idx_runs_spec_hash ON runs (spec_hash);
 CREATE INDEX IF NOT EXISTS idx_queue_spec_hash ON queue (spec_hash);
 """
 
-#: SQL age (seconds) of a claimed queue row's last liveness signal: the
-#: heartbeat its worker refreshes, falling back to the claim time when the
-#: worker died before its first heartbeat.
-_CLAIM_AGE_SQL = (
-    "(julianday('now') - julianday(COALESCE(h.heartbeat_at, q.claim_time))) * 86400.0"
-)
+#: SQL age (seconds) of a claimed queue row's lease: the time since its
+#: claim or its owner's last renewal
+_CLAIM_AGE_SQL = "(julianday('now') - julianday(heartbeat_at)) * 86400.0"
 
-_CLAIM_JOIN_SQL = (
-    "FROM queue q LEFT JOIN heartbeats h ON h.experiment = q.experiment "
-    "AND h.param_hash = q.param_hash AND h.seed = q.seed "
-)
+#: the four states a queue row moves through
+QUEUE_STATES = ("pending", "claimed", "done", "failed")
 
 
 def _json_default(value: Any) -> Any:
@@ -188,6 +192,31 @@ def cell_spec_hash(spec_json: str) -> str:
         doc = dict(doc)
         doc.pop("telemetry", None)
     return stable_digest(doc)
+
+
+@dataclass(frozen=True)
+class QueuedCell:
+    """One row of the work queue."""
+
+    experiment: str
+    param_hash: str
+    seed: int
+    #: the cell's whole transport form (``SweepCell.spec_json()``) — a
+    #: worker needs nothing else to execute it
+    spec_json: str
+    state: str
+    owner: str | None = None
+    claim_time: str | None = None
+    #: how many times this cell has been claimed (capped by the worker's
+    #: ``max_attempts``)
+    attempt: int = 0
+    #: content address of ``spec_json`` (``cell_spec_hash``) — the id the
+    #: simulation service hands out; None on rows from pre-service stores
+    spec_hash: str | None = None
+
+    @property
+    def key(self) -> tuple[str, str, int]:
+        return (self.experiment, self.param_hash, int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -268,7 +297,7 @@ class StoredRun:
         )
 
 
-class ResultStore(StoreBackend):
+class ResultStore:
     """SQLite store keyed by ``(experiment, param_hash, seed)``.
 
     ``busy_timeout_s`` is how long any single statement waits for a
@@ -346,8 +375,40 @@ class ResultStore(StoreBackend):
         if "spec_hash" not in queue_columns:
             self._conn.execute("ALTER TABLE queue ADD COLUMN spec_hash TEXT")
             self._backfill_spec_hashes("queue")
+        if "heartbeat_at" not in queue_columns:
+            self._conn.execute("ALTER TABLE queue ADD COLUMN heartbeat_at TEXT")
         self._conn.executescript(_SPEC_HASH_INDEXES)
+        if self._conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'heartbeats'"
+        ).fetchone():
+            self._migrate_heartbeats()
         self._conn.commit()
+
+    def _migrate_heartbeats(self) -> None:
+        """Move the lease stamps of a pre-``queue.heartbeat_at`` store onto its queue rows.
+
+        Older stores kept liveness in a separate ``heartbeats`` table.  Each
+        claimed row takes its cell's heartbeat there (or its claim time when
+        the worker never wrote one), so a live claim is not reclaimed as
+        stale by the first worker that opens the migrated store; then the
+        table is dropped.
+        """
+        moved = self._conn.execute(
+            """
+            UPDATE queue SET heartbeat_at = COALESCE(
+                (SELECT h.heartbeat_at FROM heartbeats h
+                 WHERE h.experiment = queue.experiment AND h.param_hash = queue.param_hash
+                   AND h.seed = queue.seed),
+                heartbeat_at, claim_time)
+            WHERE state = 'claimed'
+            """
+        ).rowcount
+        self._conn.execute("DROP TABLE heartbeats")
+        _logger.info(
+            "result store %s: moved %d claim lease(s) onto queue.heartbeat_at, "
+            "dropped the heartbeats table",
+            self.path, moved,
+        )
 
     def _backfill_spec_hashes(self, table: str) -> None:
         """Fill the just-added ``spec_hash`` column from stored spec strings.
@@ -434,9 +495,8 @@ class ResultStore(StoreBackend):
         ``result_json`` is the full serialised RunResult envelope for
         protocol cells (what the simulation service's result endpoint
         returns).  The row's ``spec_hash`` is the content address derived
-        from ``spec_json``, its ``heartbeat_at`` is stamped — recording a
-        result is the cell's final liveness signal — and any in-flight
-        heartbeat claim is released.
+        from ``spec_json`` and its ``heartbeat_at`` is stamped: recording a
+        result is the cell's final liveness signal.
         """
         canon = canonical_params(params)
         digest = param_hash(canon)
@@ -479,7 +539,6 @@ class ResultStore(StoreBackend):
                     result_json,
                 ),
             )
-            self._release_heartbeat(experiment, digest, seed)
             self._conn.commit()
 
         self._write_retry("record_result", txn)
@@ -528,77 +587,13 @@ class ResultStore(StoreBackend):
                     duration_s,
                 ),
             )
-            self._release_heartbeat(experiment, digest, seed)
             self._conn.commit()
 
         self._write_retry("record_failure", txn)
         return digest
 
     # ------------------------------------------------------------------ #
-    # liveness (the heartbeat primitive the multi-host backend reclaims on)
-    # ------------------------------------------------------------------ #
-    def _release_heartbeat(self, experiment: str, digest: str, seed: int) -> None:
-        self._conn.execute(
-            "DELETE FROM heartbeats WHERE experiment = ? AND param_hash = ? AND seed = ?",
-            (experiment, digest, int(seed)),
-        )
-
-    def mark_heartbeat(
-        self, experiment: str, params: Mapping[str, Any], seed: int, worker: str = ""
-    ) -> str:
-        """Claim/refresh liveness for an in-flight cell; returns its hash.
-
-        One row per cell: the first mark claims (stamping ``started_at``),
-        later marks refresh ``heartbeat_at``.  The claim is released when
-        the cell's result or failure is recorded.
-        """
-        digest = param_hash(params)
-        self.mark_heartbeat_key((experiment, digest, int(seed)), worker)
-        return digest
-
-    def mark_heartbeat_key(self, key: tuple[str, str, int], worker: str = "") -> None:
-        """:meth:`mark_heartbeat` for callers that already hold the param hash.
-
-        This is the lease-renewal path of queue workers: the claimed row
-        carries the hash, so no parameter decode is needed to stay alive.
-        """
-        experiment, digest, seed = key
-
-        def txn() -> None:
-            self._conn.execute(
-                """
-                INSERT INTO heartbeats (experiment, param_hash, seed, worker)
-                VALUES (?, ?, ?, ?)
-                ON CONFLICT (experiment, param_hash, seed) DO UPDATE SET
-                    worker = excluded.worker, heartbeat_at = datetime('now')
-                """,
-                (experiment, digest, int(seed), worker),
-            )
-            self._conn.commit()
-
-        self._write_retry("mark_heartbeat", txn)
-
-    def clear_heartbeat(self, experiment: str, params: Mapping[str, Any], seed: int) -> None:
-        """Release a claim without recording a row (e.g. an aborted sweep)."""
-        self._release_heartbeat(experiment, param_hash(params), int(seed))
-        self._conn.commit()
-
-    def heartbeats(self, experiment: str | None = None) -> list[dict[str, Any]]:
-        """In-flight cells with their last-seen age in seconds (oldest first)."""
-        sql = (
-            "SELECT experiment, param_hash, seed, worker, started_at, heartbeat_at, "
-            "CAST((julianday('now') - julianday(heartbeat_at)) * 86400.0 AS REAL) AS age_s "
-            "FROM heartbeats"
-        )
-        params: tuple = ()
-        if experiment is not None:
-            sql += " WHERE experiment = ?"
-            params = (experiment,)
-        rows = self._conn.execute(sql + " ORDER BY heartbeat_at ASC", params).fetchall()
-        return [dict(row) for row in rows]
-
-    # ------------------------------------------------------------------ #
-    # work queue (the StoreBackend claim surface distributed sweeps drain)
+    # work queue (what every sweep drains)
     # ------------------------------------------------------------------ #
     def _decode_queue_row(self, row: sqlite3.Row) -> QueuedCell:
         return QueuedCell(
@@ -614,6 +609,13 @@ class ResultStore(StoreBackend):
         )
 
     def enqueue_cells(self, entries: Iterable[tuple[str, str, int, str]]) -> int:
+        """Insert ``(experiment, param_hash, seed, spec_json)`` rows as pending.
+
+        Rows already queued stay untouched while in flight (pending or
+        claimed — another submitter got there first); ``done``/``failed``
+        rows are reset to pending with a fresh attempt budget, so failures
+        retry on the next invocation.  Returns how many rows became pending.
+        """
         entries = list(entries)
 
         def txn() -> int:
@@ -626,8 +628,8 @@ class ResultStore(StoreBackend):
                     VALUES (?, ?, ?, ?, ?)
                     ON CONFLICT (experiment, param_hash, seed) DO UPDATE SET
                         spec_json = excluded.spec_json, spec_hash = excluded.spec_hash,
-                        state = 'pending',
-                        owner = NULL, claim_time = NULL, attempt = 0
+                        state = 'pending', owner = NULL, claim_time = NULL,
+                        heartbeat_at = NULL, attempt = 0
                     WHERE queue.state IN ('done', 'failed')
                     """,
                     (experiment, digest, int(seed), str(spec_json), cell_spec_hash(spec_json)),
@@ -638,6 +640,12 @@ class ResultStore(StoreBackend):
         return self._write_retry("enqueue_cells", txn)
 
     def claim_cell(self, owner: str = "") -> QueuedCell | None:
+        """Atomically claim the oldest pending row, or None when none is pending.
+
+        The winning row moves to ``claimed`` with ``owner``, ``claim_time``
+        and its lease stamp ``heartbeat_at`` set and ``attempt`` incremented.
+        """
+
         def txn() -> QueuedCell | None:
             # BEGIN IMMEDIATE holds the write lock for the whole
             # select-then-update, so the guarded `WHERE state = 'pending'`
@@ -650,8 +658,8 @@ class ResultStore(StoreBackend):
                 self._conn.commit()
                 return None
             updated = self._conn.execute(
-                "UPDATE queue SET state = 'claimed', owner = ?, "
-                "claim_time = datetime('now'), attempt = attempt + 1 "
+                "UPDATE queue SET state = 'claimed', owner = ?, claim_time = datetime('now'), "
+                "heartbeat_at = datetime('now'), attempt = attempt + 1 "
                 "WHERE id = ? AND state = 'pending'",
                 (owner, row["id"]),
             ).rowcount
@@ -665,7 +673,29 @@ class ResultStore(StoreBackend):
 
         return self._write_retry("claim_cell", txn)
 
+    def renew_lease(self, key: tuple[str, str, int], owner: str) -> bool:
+        """Refresh a claim's ``heartbeat_at``; False once ``owner`` no longer holds it.
+
+        The owner guard keeps a worker whose stale claim was reclaimed (and
+        perhaps re-claimed by another worker) from renewing a lease that is
+        no longer its own.
+        """
+        experiment, digest, seed = key
+
+        def txn() -> bool:
+            renewed = self._conn.execute(
+                "UPDATE queue SET heartbeat_at = datetime('now') "
+                "WHERE experiment = ? AND param_hash = ? AND seed = ? "
+                "AND owner = ? AND state = 'claimed'",
+                (experiment, digest, int(seed), owner),
+            ).rowcount
+            self._conn.commit()
+            return renewed == 1
+
+        return self._write_retry("renew_lease", txn)
+
     def finish_cell(self, key: tuple[str, str, int], state: str) -> None:
+        """Move a claimed row to its terminal state (``done`` or ``failed``)."""
         if state not in ("done", "failed"):
             raise ValueError(f"terminal queue state must be 'done' or 'failed', got {state!r}")
         experiment, digest, seed = key
@@ -680,38 +710,45 @@ class ResultStore(StoreBackend):
         self._write_retry("finish_cell", txn)
 
     def requeue_cell(self, key: tuple[str, str, int]) -> None:
+        """Hand a claim back to pending at once, keeping its attempt count.
+
+        Used when the claimant stops mid-cell (graceful shutdown) or dies
+        under a supervisor that saw it go, so nobody waits out the lease.
+        """
         experiment, digest, seed = key
 
         def txn() -> None:
             self._conn.execute(
-                "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL "
+                "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL, "
+                "heartbeat_at = NULL "
                 "WHERE experiment = ? AND param_hash = ? AND seed = ? AND state = 'claimed'",
                 (experiment, digest, int(seed)),
             )
-            self._release_heartbeat(experiment, digest, seed)
             self._conn.commit()
 
         self._write_retry("requeue_cell", txn)
 
     def reclaim_stale(self, lease_s: float) -> list[tuple[str, str, int]]:
+        """Return claims whose lease is older than ``lease_s`` seconds to pending.
+
+        Returns the reclaimed keys.
+        """
         if lease_s < 0:
             raise ValueError(f"lease_s must be >= 0, got {lease_s}")
 
         def txn() -> list[tuple[str, str, int]]:
             self._begin_immediate()
             rows = self._conn.execute(
-                "SELECT q.id, q.experiment, q.param_hash, q.seed "
-                + _CLAIM_JOIN_SQL
-                + f"WHERE q.state = 'claimed' AND {_CLAIM_AGE_SQL} > ?",
+                "SELECT id, experiment, param_hash, seed FROM queue "
+                f"WHERE state = 'claimed' AND {_CLAIM_AGE_SQL} > ?",
                 (float(lease_s),),
             ).fetchall()
             for row in rows:
                 self._conn.execute(
-                    "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL "
-                    "WHERE id = ?",
+                    "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL, "
+                    "heartbeat_at = NULL WHERE id = ?",
                     (row["id"],),
                 )
-                self._release_heartbeat(row["experiment"], row["param_hash"], row["seed"])
             self._conn.commit()
             return [(r["experiment"], r["param_hash"], int(r["seed"])) for r in rows]
 
@@ -724,6 +761,12 @@ class ResultStore(StoreBackend):
         return reclaimed
 
     def fail_exhausted(self, max_attempts: int) -> list[QueuedCell]:
+        """Mark pending rows already claimed ``max_attempts`` times as failed.
+
+        Returns the rows so the caller can record a failure row per cell;
+        this is the cap that turns a worker-killing poison cell into a
+        recorded failure instead of an endless requeue loop.
+        """
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
 
@@ -766,7 +809,7 @@ class ResultStore(StoreBackend):
                 return None
             self._conn.execute(
                 "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL, "
-                "attempt = 0 WHERE id = ?",
+                "heartbeat_at = NULL, attempt = 0 WHERE id = ?",
                 (row["id"],),
             )
             updated = self._conn.execute(
@@ -778,6 +821,7 @@ class ResultStore(StoreBackend):
         return self._write_retry("retry_cell", txn)
 
     def queue_counts(self, experiment: str | None = None) -> list[dict[str, Any]]:
+        """Per-experiment ``{experiment, pending, claimed, done, failed}`` rows."""
         sql = (
             "SELECT experiment, "
             "SUM(state = 'pending') AS pending, SUM(state = 'claimed') AS claimed, "
@@ -792,13 +836,15 @@ class ResultStore(StoreBackend):
         return [dict(row) for row in rows]
 
     def queue_depth(self) -> dict[str, int]:
+        """Whole-queue state counts ``{pending, claimed, done, failed}``."""
         row = self._conn.execute(
             "SELECT SUM(state = 'pending') AS pending, SUM(state = 'claimed') AS claimed, "
             "SUM(state = 'done') AS done, SUM(state = 'failed') AS failed FROM queue"
         ).fetchone()
-        return {state: int(row[state] or 0) for state in ("pending", "claimed", "done", "failed")}
+        return {state: int(row[state] or 0) for state in QUEUE_STATES}
 
     def queue_cells(self, state: str | None = None) -> list[QueuedCell]:
+        """Queue rows (optionally one state), oldest first."""
         sql = "SELECT * FROM queue"
         args: tuple = ()
         if state is not None:
@@ -807,14 +853,26 @@ class ResultStore(StoreBackend):
         rows = self._conn.execute(sql + " ORDER BY id", args).fetchall()
         return [self._decode_queue_row(row) for row in rows]
 
-    def stale_claims(self, lease_s: float) -> list[dict[str, Any]]:
-        rows = self._conn.execute(
-            "SELECT q.experiment, q.param_hash, q.seed, q.owner, q.attempt, q.claim_time, "
-            + f"CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s "
-            + _CLAIM_JOIN_SQL
-            + f"WHERE q.state = 'claimed' AND {_CLAIM_AGE_SQL} > ? ORDER BY q.id",
-            (float(lease_s),),
-        ).fetchall()
+    def claims(
+        self, experiment: str | None = None, older_than_s: float | None = None
+    ) -> list[dict[str, Any]]:
+        """In-flight claims with their lease age ``age_s`` in seconds, oldest first.
+
+        ``older_than_s`` keeps only claims whose lease is older than that
+        (the stale ones, for a lease of that length).
+        """
+        sql = (
+            "SELECT experiment, param_hash, seed, owner, attempt, claim_time, "
+            f"CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s FROM queue WHERE state = 'claimed'"
+        )
+        args: list[Any] = []
+        if experiment is not None:
+            sql += " AND experiment = ?"
+            args.append(experiment)
+        if older_than_s is not None:
+            sql += f" AND {_CLAIM_AGE_SQL} > ?"
+            args.append(float(older_than_s))
+        rows = self._conn.execute(sql + " ORDER BY id", args).fetchall()
         return [dict(row) for row in rows]
 
     # ------------------------------------------------------------------ #
@@ -832,8 +890,8 @@ class ResultStore(StoreBackend):
         """Content-addressed lookup: the stored run for one spec digest.
 
         This is the shared cache check: queue workers consult it before
-        executing a claim, the sweep runner synthesises queue-backend
-        outcomes from it, and the simulation service resolves run ids
+        executing a claim, the sweep runner synthesises cell outcomes
+        from it, and the simulation service resolves run ids
         through it.  Returns the row whatever its status — callers decide
         whether a ``failed`` row counts as a hit.
         """
@@ -850,7 +908,7 @@ class ResultStore(StoreBackend):
         return self._decode_queue_row(row) if row is not None else None
 
     def claim_age_s(self, key: tuple[str, str, int]) -> float | None:
-        """Seconds since the claimed cell's last liveness signal.
+        """Seconds since the claimed cell's lease was stamped (claim or renewal).
 
         None when the cell is not currently claimed.  This is the
         "heartbeat age" the service status endpoint reports so clients
@@ -858,10 +916,8 @@ class ResultStore(StoreBackend):
         """
         experiment, digest, seed = key
         row = self._conn.execute(
-            f"SELECT CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s "
-            + _CLAIM_JOIN_SQL
-            + "WHERE q.state = 'claimed' AND q.experiment = ? AND q.param_hash = ? "
-            "AND q.seed = ?",
+            f"SELECT CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s FROM queue "
+            "WHERE state = 'claimed' AND experiment = ? AND param_hash = ? AND seed = ?",
             (experiment, digest, int(seed)),
         ).fetchone()
         if row is None or row["age_s"] is None:

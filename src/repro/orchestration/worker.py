@@ -1,25 +1,25 @@
 """Pull-based queue worker: claim cells from a shared store, run, write back.
 
-This is the other half of the ``queue`` execution backend: a sweep (or
-``drr-gossip sweep --exec queue --enqueue-only``) fills the store's queue
-table with pending cells, and any number of :class:`QueueWorker` loops —
-started with ``drr-gossip worker --store PATH`` on any hosts that share
-the store — drain it.  Each iteration:
+Every sweep drains the store's queue table through this loop: the sweep
+runner works it in-process (``--jobs 1``) or from child processes
+(``--jobs N``), and ``drr-gossip worker --store PATH`` runs it on any host
+that shares the store (fed by ``drr-gossip sweep --enqueue-only``).  One
+:meth:`QueueWorker.step` is:
 
 1. **reclaim** stale claims (a dead worker's lease expired) back to
    pending, and mark cells that exhausted their attempt budget as failed;
 2. **claim** the oldest pending cell atomically (exactly one worker wins);
 3. **cache check**: if the cell's result is already in the store
    (a re-submitted identical spec), finish it without executing;
-4. **execute** the cell's serialised spec via the same ``_execute_cell``
-   entry point the local process pool uses, refreshing the claim's
-   heartbeat row from a side thread so long cells keep their lease;
+4. **execute** the cell's serialised spec with :func:`_execute_cell`,
+   renewing the claim's lease (``queue.heartbeat_at``) from a side thread
+   so long cells keep it;
 5. **write back** the result/failure row and move the queue row to its
    terminal state.
 
-The loop exits when the queue is drained — no pending *and* no claimed
-rows — or, with ``linger_s``, after the queue has stayed drained that
-long (so operators can start workers before submitting work).
+:meth:`QueueWorker.drain` repeats the step until the queue is drained — no
+pending *and* no claimed rows — or, with ``linger_s``, until it has stayed
+drained that long (so operators can start workers before submitting work).
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ import signal
 import socket
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from ..observability.logs import get_logger
 from ..observability.telemetry import NULL_TELEMETRY, NullTelemetry
-from .backends import QueuedCell
-from .runner import _execute_cell
-from .store import ResultStore, cell_spec_hash
+from .registry import load_builtin_experiments
+from .store import QueuedCell, ResultStore, cell_spec_hash
 
 _logger = get_logger("orchestration.worker")
 
@@ -56,7 +56,7 @@ __all__ = [
     "signal_shutdown",
 ]
 
-#: seconds of heartbeat silence after which a claim counts as stale
+#: seconds without a lease renewal after which a claim counts as stale
 DEFAULT_LEASE_S = 60.0
 
 #: claims per cell before it is marked failed instead of reclaimed again
@@ -64,6 +64,59 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 #: idle backoff ceiling as a multiple of ``poll_interval_s``
 BACKOFF_CAP_FACTOR = 8.0
+
+#: largest estimate vector persisted inside a stored RunResult envelope;
+#: beyond this the vector is dropped (marked ``estimates_omitted``) so a
+#: single n=10^8 cell cannot bloat the store or the service's responses
+MAX_ENVELOPE_ESTIMATES = 65536
+
+
+def _execute_cell(spec_json: str) -> dict[str, Any]:
+    """Run one serialised cell; never raises (crashes become a failure payload).
+
+    The single string argument is the whole contract between the queue
+    and a worker: a ``{"protocol": ...}`` document dispatches through
+    :func:`repro.run`, a ``{"experiment": ...}`` document resolves the
+    registered driver by name (parameters re-validated through the
+    registry schema, which restores tuples/enums the JSON transport
+    flattened).
+    """
+    start = time.perf_counter()
+    try:
+        payload = json.loads(spec_json)
+        telemetry_doc = None
+        envelope_doc = None
+        if "protocol" in payload:
+            from ..api import RunSpec
+            from ..api import run as run_spec_fn
+
+            envelope = run_spec_fn(RunSpec.from_dict(payload))
+            result = envelope.to_experiment_result()
+            telemetry_doc = envelope.telemetry
+            # The full RunResult document is carried back alongside the
+            # store-row projection so it can be persisted verbatim — the
+            # content-addressed cache the simulation service serves from.
+            envelope_doc = envelope.to_dict()
+            estimates = envelope_doc.get("estimates")
+            if estimates is not None and len(estimates) > MAX_ENVELOPE_ESTIMATES:
+                envelope_doc["estimates"] = None
+                envelope_doc["estimates_omitted"] = len(estimates)
+        else:
+            spec = load_builtin_experiments().get(payload["experiment"])
+            params = spec.validate_params(payload.get("params", {}))
+            result = spec.driver(seed=int(payload["seed"]), **params)
+        out = {"ok": True, "result": result, "duration_s": time.perf_counter() - start}
+        if telemetry_doc is not None:
+            out["telemetry"] = telemetry_doc
+        if envelope_doc is not None:
+            out["envelope"] = envelope_doc
+        return out
+    except Exception:  # KeyboardInterrupt/SystemExit propagate: a sweep must stay interruptible
+        return {
+            "ok": False,
+            "error": traceback.format_exc(),
+            "duration_s": time.perf_counter() - start,
+        }
 
 
 def default_worker_id() -> str:
@@ -77,8 +130,8 @@ class WorkerShutdown(BaseException):
     Deliberately a ``BaseException`` (like ``KeyboardInterrupt``) so it
     sails through the worker's per-cell ``except Exception`` error
     handling and lands in the claim-requeue path: the in-flight cell goes
-    back to ``pending`` with its heartbeat row deleted, and another
-    worker can pick it up immediately instead of waiting out the lease.
+    back to ``pending`` with its lease cleared, and another worker can
+    pick it up immediately instead of waiting out the lease.
     """
 
     def __init__(self, signum: int) -> None:
@@ -121,8 +174,8 @@ def row_identity(spec_json: str) -> tuple[str, dict[str, Any], int]:
     Returns ``(experiment, params, seed)`` such that
     ``param_hash(params)`` reproduces the hash the cell was queued under
     — the exact inverse of how ``SweepCell``/``cells_from_run_specs``
-    built the spec string, so a worker's result rows collide (upsert)
-    with the local backend's rather than duplicating them.
+    built the spec string, so every worker's result rows for one cell
+    collide (upsert) rather than duplicate.
     """
     payload = json.loads(spec_json)
     if "protocol" in payload:
@@ -164,13 +217,15 @@ class WorkerReport:
 
 
 class _LeaseHeartbeat:
-    """Daemon thread refreshing one claim's heartbeat on its own connection.
+    """Daemon thread renewing one claim's lease on its own connection.
 
-    The worker executes cells in its own process, so lease renewal must
-    come from a thread; SQLite connections are not shared across threads,
-    so the thread opens (and closes) its own.  In-memory stores get no
-    thread — a second connection would see a different database — which
-    is fine: they cannot be shared across processes anyway.
+    The worker executes cells in its own thread, so lease renewal must
+    come from another; SQLite connections are not shared across threads,
+    so the thread opens its own, at the first renewal (a cell shorter than
+    the interval never opens one).  It stops renewing once the claim is no
+    longer this worker's.  In-memory stores get no thread — a second
+    connection would see a different database — which is fine: they
+    cannot be shared across processes anyway.
     """
 
     def __init__(self, store_path: str, key: tuple[str, str, int], worker: str, interval_s: float) -> None:
@@ -182,12 +237,20 @@ class _LeaseHeartbeat:
         self._thread: threading.Thread | None = None
 
     def _run(self) -> None:
-        store = ResultStore(self._path)
+        store: ResultStore | None = None
         try:
             while not self._stop.wait(self._interval):
-                store.mark_heartbeat_key(self._key, self._worker)
+                if store is None:
+                    store = ResultStore(self._path)
+                if not store.renew_lease(self._key, self._worker):
+                    _logger.warning(
+                        "worker %s lost its claim on %s; lease no longer renewed",
+                        self._worker, self._key,
+                    )
+                    return
         finally:
-            store.close()
+            if store is not None:
+                store.close()
 
     def __enter__(self) -> "_LeaseHeartbeat":
         if self._path != ":memory:":
@@ -264,45 +327,36 @@ class QueueWorker:
         return target * (0.5 + 0.5 * self._jitter.random())
 
     def drain(self) -> WorkerReport:
-        """Work the queue until it drains (plus ``linger_s``); returns the tally.
+        """Repeat :meth:`step` until the queue drains (plus ``linger_s``); returns the tally.
 
         A :class:`WorkerShutdown` raised into the loop (SIGTERM/SIGINT
         under :func:`signal_shutdown`) ends it gracefully: the in-flight
-        claim — if any — was already requeued by the claim handler, and
-        the report comes back with ``stopped`` set instead of the
-        exception propagating.
+        claim — if any — was already requeued by :meth:`step`, and the
+        report comes back with ``stopped`` set instead of the exception
+        propagating.
         """
         report = WorkerReport(worker=self.worker_id)
-        telemetry = self.telemetry
         start = time.perf_counter()
         drained_since: float | None = None
         empty_polls = 0
         try:
             while self.max_cells is None or report.cells < self.max_cells:
-                report.reclaimed += len(self.store.reclaim_stale(self.lease_s))
-                for cell in self.store.fail_exhausted(self.max_attempts):
-                    self._record_exhausted(cell, report)
-                with telemetry.span("worker.claim"):
-                    claim = self.store.claim_cell(self.worker_id)
-                depth = self.store.queue_depth()
-                telemetry.gauge_max("queue.pending", depth["pending"])
-                telemetry.gauge_max("queue.claimed", depth["claimed"])
-                if claim is None:
-                    # Nothing pending.  Claimed rows owned by others may still
-                    # fail and come back via reclaim, so wait on those; a fully
-                    # drained queue ends the loop once any linger grace is up.
-                    if depth["pending"] == 0 and depth["claimed"] == 0:
-                        now = time.perf_counter()
-                        if drained_since is None:
-                            drained_since = now
-                        if now - drained_since >= self.linger_s:
-                            break
-                    time.sleep(self.idle_backoff_s(empty_polls))
-                    empty_polls += 1
+                depth = self.step(report)
+                if depth is None:
+                    drained_since = None
+                    empty_polls = 0
                     continue
-                drained_since = None
-                empty_polls = 0
-                self._run_claim(claim, report)
+                # Nothing pending.  Claimed rows owned by others may still
+                # fail and come back via reclaim, so wait on those; a fully
+                # drained queue ends the loop once any linger grace is up.
+                if depth["pending"] == 0 and depth["claimed"] == 0:
+                    now = time.perf_counter()
+                    if drained_since is None:
+                        drained_since = now
+                    if now - drained_since >= self.linger_s:
+                        break
+                time.sleep(self.idle_backoff_s(empty_polls))
+                empty_polls += 1
         except WorkerShutdown as shutdown:
             report.stopped = shutdown.signal_name
             _logger.info(
@@ -312,6 +366,36 @@ class QueueWorker:
         report.wall_s = time.perf_counter() - start
         _logger.info("%s", report.summary())
         return report
+
+    def step(self, report: WorkerReport) -> dict[str, int] | None:
+        """One claim → execute → write-back pass over the queue.
+
+        Reclaims stale claims and fails exhausted cells first, then claims
+        the oldest pending cell and takes it to its recorded row.  Returns
+        None when a cell was handled, or the queue depth when none was
+        pending, so callers can tell a drained queue from one whose
+        remaining cells other workers hold.  An interruption
+        (``BaseException``) after the claim hands the claim back to
+        pending before it propagates.
+        """
+        telemetry = self.telemetry
+        report.reclaimed += len(self.store.reclaim_stale(self.lease_s))
+        for cell in self.store.fail_exhausted(self.max_attempts):
+            self._record_exhausted(cell, report)
+        with telemetry.span("worker.claim"):
+            claim = self.store.claim_cell(self.worker_id)
+        try:
+            depth = self.store.queue_depth()
+            telemetry.gauge_max("queue.pending", depth["pending"])
+            telemetry.gauge_max("queue.claimed", depth["claimed"])
+            if claim is None:
+                return depth
+            self._run_claim(claim, report)
+        except BaseException:
+            if claim is not None:
+                self.store.requeue_cell(claim.key)
+            raise
+        return None
 
     def _record_exhausted(self, cell: QueuedCell, report: WorkerReport) -> None:
         experiment, params, seed = row_identity(cell.spec_json)
@@ -337,19 +421,11 @@ class QueueWorker:
                 report.cached += 1
                 self._emit(claim, "cached", 0.0)
                 return
-        self.store.mark_heartbeat_key(claim.key, self.worker_id)
-        try:
-            with _LeaseHeartbeat(
-                str(self.store.path), claim.key, self.worker_id, self.heartbeat_interval_s
-            ):
-                with telemetry.span("worker.execute"):
-                    payload = _execute_cell(claim.spec_json)
-        except BaseException:
-            # Interrupted mid-cell (KeyboardInterrupt/SystemExit): hand the
-            # claim back so another worker picks the cell up immediately
-            # instead of waiting out the lease.
-            self.store.requeue_cell(claim.key)
-            raise
+        with _LeaseHeartbeat(
+            str(self.store.path), claim.key, self.worker_id, self.heartbeat_interval_s
+        ):
+            with telemetry.span("worker.execute"):
+                payload = _execute_cell(claim.spec_json)
         self._write_back(claim, payload, report)
 
     def _write_back(self, claim: QueuedCell, payload: Mapping[str, Any], report: WorkerReport) -> None:

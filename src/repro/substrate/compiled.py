@@ -40,10 +40,10 @@ layers without numba.
 
 First use pays numba's compile cost once per primitive signature;
 ``cache=True`` persists the machine code on disk, so subsequent processes
-start warm.  The kernel auto-enables the lossless half of the
-:mod:`repro.substrate.tuning` narrowing pass (index arrays only — ids are
-still *drawn* at full width, so the RNG stream and every result are
-unchanged); accumulators always stay ``float64``.
+start warm.  The kernel auto-enables :mod:`repro.substrate.tuning`'s
+lossless id narrowing (index arrays only — ids are still *drawn* at full
+width, so the RNG stream and every result are unchanged); accumulators
+always stay ``float64``.
 """
 
 from __future__ import annotations
@@ -392,7 +392,7 @@ class CompiledKernel(VectorizedKernel):
 
     name = "compiled"
 
-    #: enable the provably-lossless half of the tuning narrowing pass
+    #: enable the tuning module's (provably lossless) id narrowing
     #: (index arrays only — never estimate accumulators)
     auto_narrow_ids: bool = True
 
@@ -548,15 +548,7 @@ class CompiledKernel(VectorizedKernel):
 
     @instrumented("compiled.fold_pushes")
     def fold_pushes(self, receiver, send_s, send_g, s, g):
-        if (
-            not NUMBA_AVAILABLE
-            or s.dtype != np.float64
-            or g.dtype != np.float64
-            or send_s.dtype != np.float64
-            or send_g.dtype != np.float64
-        ):
-            # narrow_estimates (float32 accumulators) keeps the NumPy fold
-            # so the bincount-then-cast rounding stays bit-identical.
+        if not NUMBA_AVAILABLE:
             return fold_pushes(receiver, send_s, send_g, s, g)
         part_s = self._scratch_for("fold_s", int(s.size), np.float64)[: s.size]
         part_g = self._scratch_for("fold_g", int(g.size), np.float64)[: g.size]

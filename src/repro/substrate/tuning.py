@@ -1,19 +1,13 @@
-"""Opt-in dtype narrowing for the columnar hot paths.
+"""Opt-in id-dtype narrowing for the columnar hot paths.
 
-The vectorized kernel stores node ids as ``int64`` and estimate
-accumulators as ``float64``.  At ``n >= 10^7`` the id arrays dominate the
-memory traffic of a round (targets, senders, receiver positions, parent
-pointers), and halving them to ``int32`` measurably reduces the
-bandwidth bound.  Narrowing is **off by default** because it is not free:
-
-* ``narrow_ids`` is semantically exact — ids are drawn from the shared
-  RNG stream at full width and only *stored* narrow, so the stream, every
-  message fate, and every count are unchanged — but a narrowed array that
-  protocols hand back to user code changes dtype.
-* ``narrow_estimates`` stores gossip mass accumulators in ``float32``,
-  which changes estimates at the ``1e-7`` relative level; fixed-seed
-  results are no longer bit-exact against the default configuration (the
-  backend-equivalence suite runs with narrowing off).
+The vectorized kernel stores node ids as ``int64``.  At ``n >= 10^7`` the
+id arrays dominate the memory traffic of a round (targets, senders,
+receiver positions, parent pointers), and halving them to ``int32``
+measurably reduces the bandwidth bound.  ``narrow_ids`` is **off by
+default**: it is semantically exact — ids are drawn from the shared RNG
+stream at full width and only *stored* narrow, so the stream, every
+message fate, and every count are unchanged — but a narrowed array that
+protocols hand back to user code changes dtype.
 
 Use :func:`tuned` as a context manager around a run, or :func:`set_tuning`
 for a process-wide default::
@@ -43,18 +37,12 @@ class KernelTuning:
 
     #: store node-id arrays as int32 (ids are still *drawn* at full width)
     narrow_ids: bool = False
-    #: store float estimate accumulators as float32
-    narrow_estimates: bool = False
 
     def id_dtype(self, n: int) -> np.dtype:
         """Storage dtype for node-id arrays over a population of ``n``."""
         if self.narrow_ids and n <= _INT32_MAX_N:
             return np.dtype(np.int32)
         return np.dtype(np.int64)
-
-    def estimate_dtype(self) -> np.dtype:
-        """Storage dtype for estimate/mass accumulators."""
-        return np.dtype(np.float32 if self.narrow_estimates else np.float64)
 
 
 _current = KernelTuning()

@@ -19,7 +19,7 @@ import repro
 from repro import RunSpec, SpecValidationError, TopologySpec
 from repro.api import get_protocol, protocol_names
 from repro.orchestration import ResultStore, cells_from_run_specs
-from repro.orchestration.runner import _execute_cell
+from repro.orchestration.worker import _execute_cell
 from repro.orchestration.store import param_hash
 from repro.serialization import canonical_json, stable_digest
 from repro.simulator import FailureModel

@@ -147,9 +147,8 @@ class TestRetiredSharded:
 class TestTuning:
     def test_default_is_everything_off(self):
         cfg = tuning.get_tuning()
-        assert not cfg.narrow_ids and not cfg.narrow_estimates
+        assert not cfg.narrow_ids
         assert cfg.id_dtype(10**6) == np.int64
-        assert cfg.estimate_dtype() == np.float64
 
     def test_narrow_ids_preserves_the_rng_stream_and_results(self):
         reference = run_drr(512, rng=9)
@@ -170,17 +169,6 @@ class TestTuning:
         assert wide.dtype == np.int64
         assert narrow.dtype == np.int32
         assert np.array_equal(wide, narrow.astype(np.int64))
-
-    def test_narrow_estimates_changes_only_float_rounding(self):
-        from repro.core import DRRGossipConfig, drr_gossip_average
-
-        values = np.random.default_rng(0).uniform(0.0, 100.0, size=2048)
-        reference = drr_gossip_average(values, rng=7, config=DRRGossipConfig())
-        with tuning.tuned(narrow_estimates=True):
-            narrowed = drr_gossip_average(values, rng=7, config=DRRGossipConfig())
-        assert narrowed.messages == reference.messages
-        assert narrowed.rounds == reference.rounds
-        assert np.allclose(narrowed.estimates, reference.estimates, rtol=1e-4, equal_nan=True)
 
 
 # --------------------------------------------------------------------------- #

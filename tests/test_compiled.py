@@ -317,20 +317,6 @@ class TestNewPrimitives:
         fold_pushes(receiver, np.ones(100), np.ones(100), s, g)
         assert np.array_equal(s, before_s) and np.array_equal(g, before_g)
 
-    def test_compiled_fold_falls_back_for_narrow_estimates(self):
-        # float32 accumulators must take the NumPy fold (bit-identity with
-        # the bincount-then-cast rounding), never a jitted float32 loop.
-        with python_fallback() as kernel:
-            receiver = np.array([0, 1, -1, 1], dtype=np.int64)
-            s = np.zeros(2, dtype=np.float32)
-            g = np.zeros(2, dtype=np.float32)
-            send = np.array([1.0, 2.0, 3.0, 4.0])
-            kernel.fold_pushes(receiver, send, send, s, g)
-            expected = np.bincount(
-                receiver[receiver >= 0], weights=send[receiver >= 0], minlength=2
-            ).astype(np.float32)
-            assert np.array_equal(s, expected)
-
 
 # --------------------------------------------------------------------------- #
 # the LossOracle batch-hasher seam

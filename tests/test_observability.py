@@ -327,7 +327,16 @@ class TestForestPlanSpan:
         # it is built inside convergecast, the first tree phase
         phases = result.telemetry["phases"]
         assert spans["core.forest_plan"]["total_s"] <= phases["convergecast"]["wall_s"]
+        # the forest is validated once, at the end of the drr phase
+        assert spans["core.forest_validate"]["count"] == 1
+        assert spans["core.forest_validate"]["total_s"] <= phases["drr"]["wall_s"]
         assert spans["substrate.broadcast_layers"]["count"] == 2
+
+    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
+    def test_forest_validate_span_on_both_drr_paths(self, backend):
+        spec = RunSpec(protocol="drr", params={"n": 256}, backend=backend, seed=4, telemetry=True)
+        spans = repro.run(spec).telemetry["spans"]
+        assert spans["core.forest_validate"]["count"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -453,7 +462,7 @@ class TestLogging:
 
 
 # --------------------------------------------------------------------------- #
-# result store: telemetry column + heartbeat liveness
+# result store: telemetry column + claim leases
 # --------------------------------------------------------------------------- #
 #: the runs schema as PR 5 shipped it (no telemetry/heartbeat columns)
 _LEGACY_PR5_SCHEMA = """
@@ -483,6 +492,15 @@ class _FakeResult:
     headers = ("a",)
     rows = ({"a": 1},)
     notes = ()
+
+
+def _claim(store: ResultStore, experiment: str, params: dict, seed: int, owner: str):
+    """Queue one cell and claim it as ``owner``."""
+    from repro.orchestration import cell_spec_json, param_hash
+
+    spec = cell_spec_json(experiment, params, seed)
+    store.enqueue_cells([(experiment, param_hash(params), seed, spec)])
+    return store.claim_cell(owner)
 
 
 class TestStoreTelemetry:
@@ -524,36 +542,36 @@ class TestStoreTelemetry:
             run = store.query()[0]
             assert run.telemetry is None
             assert run.heartbeat_at is None
-            # the migrated store accepts telemetry writes and heartbeats
+            # the migrated store accepts telemetry writes and claim leases
             store.record_result(
                 "old", {}, 1, _FakeResult(), telemetry_json=json.dumps({"wall_s": 2.0})
             )
-            store.mark_heartbeat("old", {"n": 1}, 7, worker="w1")
+            _claim(store, "old", {"n": 1}, 7, owner="w1")
             assert store.query()[0].telemetry == {"wall_s": 2.0}
-            assert store.heartbeats()[0]["worker"] == "w1"
+            assert store.claims()[0]["owner"] == "w1"
 
-    def test_heartbeat_claim_refresh_release(self, tmp_path):
+    def test_claim_lease_renew_and_release(self, tmp_path):
         with ResultStore(tmp_path / "s.sqlite") as store:
-            digest = store.mark_heartbeat("exp", {"n": 8}, 1, worker="w0")
-            beats = store.heartbeats()
-            assert len(beats) == 1
-            assert beats[0]["param_hash"] == digest
-            assert beats[0]["age_s"] >= 0.0
-            store.mark_heartbeat("exp", {"n": 8}, 1, worker="w1")  # refresh, not duplicate
-            assert len(store.heartbeats()) == 1
-            assert store.heartbeats()[0]["worker"] == "w1"
-            assert store.heartbeats(experiment="other") == []
-            # recording the cell's result releases the claim
+            claim = _claim(store, "exp", {"n": 8}, 1, owner="w0")
+            (lease,) = store.claims()
+            assert lease["param_hash"] == claim.param_hash
+            assert lease["age_s"] >= 0.0
+            assert store.renew_lease(claim.key, "w0")  # refresh, not duplicate
+            assert len(store.claims()) == 1
+            assert store.claims(experiment="other") == []
+            # finishing the cell ends the claim
             store.record_result("exp", {"n": 8}, 1, _FakeResult())
-            assert store.heartbeats() == []
-            # clear_heartbeat releases without recording
-            store.mark_heartbeat("exp", {"n": 8}, 2)
-            store.clear_heartbeat("exp", {"n": 8}, 2)
-            assert store.heartbeats() == []
+            store.finish_cell(claim.key, "done")
+            assert store.claims() == []
+            # requeue_cell releases without recording
+            again = _claim(store, "exp", {"n": 8}, 2, owner="w0")
+            store.requeue_cell(again.key)
+            assert store.claims() == []
+            assert not store.renew_lease(again.key, "w0")
 
 
 # --------------------------------------------------------------------------- #
-# sweeps: per-cell telemetry + heartbeat rows
+# sweeps: per-cell telemetry + liveness stamps
 # --------------------------------------------------------------------------- #
 class TestSweepTelemetry:
     def test_sweep_rows_carry_telemetry_and_heartbeat(self, tmp_path):
@@ -566,7 +584,7 @@ class TestSweepTelemetry:
             assert run.telemetry is not None
             assert run.telemetry["wall_s"] > 0.0
             assert run.heartbeat_at is not None
-            assert store.heartbeats() == []  # claim released on record
+            assert store.claims() == []  # no claim outlives the sweep
 
             # resume is untouched by the toggle: the same spec without
             # telemetry hashes to the same cell and is skipped
@@ -611,7 +629,7 @@ class TestCli:
         assert "+telemetry" in out
         assert "telemetry        : wall" in out
 
-    def test_results_telemetry_lists_rows_and_heartbeats(self, tmp_path, capsys):
+    def test_results_telemetry_lists_rows_and_claims(self, tmp_path, capsys):
         from repro.harness.cli import main
 
         store_path = tmp_path / "s.sqlite"
@@ -620,7 +638,7 @@ class TestCli:
                 "exp", {"n": 8}, 1, _FakeResult(),
                 telemetry_json=json.dumps({"wall_s": 0.5, "phases": {}}),
             )
-            store.mark_heartbeat("exp", {"n": 9}, 2, worker="w0")
+            _claim(store, "exp", {"n": 9}, 2, owner="w0")
         rc = main(["results", "--store", str(store_path), "--telemetry"])
         assert rc == 0
         out = capsys.readouterr().out

@@ -1,10 +1,13 @@
-"""Distributed queue backend: claim atomicity, leases, dedup, worker parity.
+"""The store work queue every sweep drains: claims, leases, dedup, worker parity.
 
 Covers the pull-based work-stealing layer end to end:
 
-* the store's queue table (enqueue/claim/finish/requeue/reclaim semantics),
+* the store's queue table (enqueue/claim/finish/requeue/reclaim semantics,
+  the lease on the queue row and its migration from old stores),
 * :class:`~repro.orchestration.worker.QueueWorker` drain loops,
-* ``SweepRunner(backend="queue")`` parity with the local backend,
+* ``SweepRunner`` draining in-process (``jobs=1``) and from supervised
+  child processes (``jobs=2``): parity, a SIGKILLed child, a cell that
+  kills its worker,
 * two *real* worker processes sharing one store — zero duplicate
   executions, and recovery from a SIGKILL mid-cell via lease reclaim.
 """
@@ -12,8 +15,10 @@ Covers the pull-based work-stealing layer end to end:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -37,6 +42,36 @@ from repro.orchestration import (
 from repro.orchestration.worker import WorkerReport
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+#: the queue and lease tables as stores kept them before the lease moved
+#: onto the queue row
+_LEGACY_QUEUE_SCHEMA = """
+CREATE TABLE heartbeats (
+    experiment   TEXT NOT NULL,
+    param_hash   TEXT NOT NULL,
+    seed         INTEGER NOT NULL,
+    worker       TEXT NOT NULL DEFAULT '',
+    started_at   TEXT NOT NULL DEFAULT (datetime('now')),
+    heartbeat_at TEXT NOT NULL DEFAULT (datetime('now')),
+    UNIQUE (experiment, param_hash, seed)
+);
+CREATE TABLE queue (
+    id          INTEGER PRIMARY KEY AUTOINCREMENT,
+    experiment  TEXT NOT NULL,
+    param_hash  TEXT NOT NULL,
+    seed        INTEGER NOT NULL,
+    spec_json   TEXT NOT NULL,
+    spec_hash   TEXT,
+    state       TEXT NOT NULL DEFAULT 'pending'
+                CHECK (state IN ('pending', 'claimed', 'done', 'failed')),
+    owner       TEXT,
+    claim_time  TEXT,
+    attempt     INTEGER NOT NULL DEFAULT 0,
+    enqueued_at TEXT NOT NULL DEFAULT (datetime('now')),
+    UNIQUE (experiment, param_hash, seed)
+);
+"""
 
 
 def _tiny_definition(reps: int = 2, seed: int = 5) -> SweepDefinition:
@@ -148,12 +183,59 @@ class TestQueueStore:
             _enqueue(store, cells)
             claim = store.claim_cell("w1")
             time.sleep(1.6)
-            # a live heartbeat renews the lease even when claim_time is old;
+            # a renewal keeps the lease alive even when claim_time is old;
             # lease 1.4 splits the two ages even with datetime('now')'s
-            # 1-second truncation (claim age >= 1.6, heartbeat age <= 1.0)
-            store.mark_heartbeat_key(claim.key, "w1")
+            # 1-second truncation (claim age >= 1.6, renewal age <= 1.0)
+            assert store.renew_lease(claim.key, "w1")
             assert store.reclaim_stale(lease_s=1.4) == []
             assert store.queue_cells()[0].state == "claimed"
+
+    def test_renew_lease_is_owner_guarded(self, tmp_path):
+        cells = expand_cells(_tiny_definition(reps=1))[:1]
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, cells)
+            claim = store.claim_cell("w1")
+            time.sleep(1.1)
+            # another worker cannot keep w1's claim alive...
+            assert not store.renew_lease(claim.key, "w2")
+            (stale,) = store.claims(older_than_s=0.5)
+            assert stale["owner"] == "w1"
+            # ...and once the claim was reclaimed, w1 cannot either
+            assert store.reclaim_stale(lease_s=0.5) == [claim.key]
+            assert not store.renew_lease(claim.key, "w1")
+            assert store.claims() == []
+
+    def test_legacy_heartbeats_table_moves_onto_queue_rows(self, tmp_path):
+        """Old stores kept leases in a heartbeats table; opening one carries them over."""
+        path = tmp_path / "legacy.sqlite"
+        live, silent = expand_cells(_tiny_definition(reps=1))[:2]
+        conn = sqlite3.connect(str(path))
+        conn.executescript(_LEGACY_QUEUE_SCHEMA)
+        for cell, owner in ((live, "w-live"), (silent, "w-silent")):
+            # both claimed two minutes ago; only w-live has written a heartbeat since
+            conn.execute(
+                "INSERT INTO queue (experiment, param_hash, seed, spec_json, spec_hash, state,"
+                " owner, claim_time, attempt) VALUES (?, ?, ?, ?, NULL, 'claimed', ?,"
+                " datetime('now', '-120 seconds'), 1)",
+                (*cell.key, cell.spec_json(), owner),
+            )
+        conn.execute(
+            "INSERT INTO heartbeats (experiment, param_hash, seed, worker) VALUES (?, ?, ?, 'w-live')",
+            live.key,
+        )
+        conn.commit()
+        conn.close()
+        with ResultStore(path) as store:
+            ages = {c["owner"]: c["age_s"] for c in store.claims()}
+            assert ages["w-live"] < 60.0 <= ages["w-silent"]  # no heartbeat: claim_time
+            assert store.reclaim_stale(lease_s=60.0) == [silent.key]
+            tables = {r[0] for r in store._conn.execute("SELECT name FROM sqlite_master")}
+            assert "heartbeats" not in tables
+        with ResultStore(path) as store:  # a second open changes nothing
+            assert store.reclaim_stale(lease_s=60.0) == []
+            states = {row.owner: row.state for row in store.queue_cells()}
+            assert states == {"w-live": "claimed", None: "pending"}
+            assert store.renew_lease(live.key, "w-live")
 
     def test_fail_exhausted_respects_attempt_budget(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
@@ -177,10 +259,10 @@ class TestQueueStore:
             counts = {row["experiment"]: row for row in store.queue_counts()}
             assert set(counts) == {c.experiment for c in cells}
             assert sum(r["pending"] + r["claimed"] for r in counts.values()) == len(cells)
-            (stale,) = store.stale_claims(lease_s=0.5)
+            (stale,) = store.claims(older_than_s=0.5)
             assert stale["owner"] == "w1"
             assert stale["age_s"] > 0.5
-            assert store.stale_claims(lease_s=3600.0) == []
+            assert store.claims(older_than_s=3600.0) == []
 
     def test_concurrent_claims_cover_queue_exactly_once(self, tmp_path):
         """Racing claimants on separate connections never claim the same cell."""
@@ -366,38 +448,157 @@ class TestQueueWorker:
 
 
 # --------------------------------------------------------------------------- #
-# SweepRunner queue backend
+# SweepRunner: in-process and child-process drains of the store queue
 # --------------------------------------------------------------------------- #
-class TestQueueBackendRunner:
-    def test_queue_backend_matches_local_store_bit_for_bit(self, tmp_path):
+def _poison(seed: int = 0, code: int = 3):
+    """A driver that takes its worker process down with it."""
+    os._exit(code)
+
+
+def _slow(seed: int = 0, seconds: float = 1.5):
+    """A driver that just takes its time."""
+    from repro.harness.experiments import ExperimentResult
+
+    time.sleep(seconds)
+    return ExperimentResult(
+        experiment="test-slow", description="slow", headers=["seconds"],
+        rows=[{"seconds": seconds}], seed=seed,
+    )
+
+
+@pytest.fixture
+def fork_only_experiments():
+    """Register the test drivers; children inherit them only when forked."""
+    from repro.orchestration import DEFAULT_REGISTRY, load_builtin_experiments
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("test drivers reach child workers only under the fork start method")
+    registry = load_builtin_experiments()
+    registry.register("test-poison", _poison)
+    registry.register("test-slow", _slow)
+    yield registry
+    for name in ("test-poison", "test-slow"):
+        DEFAULT_REGISTRY._specs.pop(name, None)
+
+
+class TestSweepRunnerDrain:
+    def test_jobs2_children_match_inprocess_store_bit_for_bit(self, tmp_path):
         definition = _tiny_definition()
-        with ResultStore(tmp_path / "local.sqlite") as store:
-            local_report = SweepRunner(store, jobs=1).run(definition)
-            local = {(r.experiment, r.param_hash, r.seed): r for r in store.query()}
-        with ResultStore(tmp_path / "queue.sqlite") as store:
-            queue_report = SweepRunner(store, jobs=1, backend="queue").run(definition)
-            queued = {(r.experiment, r.param_hash, r.seed): r for r in store.query()}
-            assert store.queue_depth()["done"] == queue_report.executed
-        assert queue_report.failed == 0
-        assert queue_report.executed == local_report.executed
-        assert local.keys() == queued.keys()
-        for key, run in local.items():
-            other = queued[key]
+        with ResultStore(tmp_path / "serial.sqlite") as store:
+            serial_report = SweepRunner(store, jobs=1).run(definition)
+            serial = {(r.experiment, r.param_hash, r.seed): r for r in store.query()}
+        with ResultStore(tmp_path / "children.sqlite") as store:
+            report = SweepRunner(store, jobs=2).run(definition)
+            children = {(r.experiment, r.param_hash, r.seed): r for r in store.query()}
+            assert store.queue_depth()["done"] == report.executed
+            # every cell ran once: no child died, no claim was handed back
+            assert all(row.attempt == 1 for row in store.queue_cells())
+        assert report.failed == 0
+        assert report.executed == serial_report.executed
+        assert serial.keys() == children.keys()
+        for key, run in serial.items():
+            other = children[key]
             assert run.rows == other.rows, f"rows differ for {key}"
             assert run.headers == other.headers
             assert run.params == other.params
             assert run.notes == other.notes
 
-    def test_queue_backend_resume_report_matches_local(self, tmp_path):
+    def test_jobs2_resume_report_matches_jobs1(self, tmp_path):
         definition = _tiny_definition()
-        with ResultStore(tmp_path / "local.sqlite") as store:
+        with ResultStore(tmp_path / "serial.sqlite") as store:
             SweepRunner(store, jobs=1).run(definition)
-            local_resume = SweepRunner(store, jobs=1).run(definition)
-        with ResultStore(tmp_path / "queue.sqlite") as store:
-            SweepRunner(store, jobs=1, backend="queue").run(definition)
-            queue_resume = SweepRunner(store, jobs=1, backend="queue").run(definition)
-        assert queue_resume.skipped == queue_resume.total > 0
-        assert queue_resume.summary() == local_resume.summary()
+            serial_resume = SweepRunner(store, jobs=1).run(definition)
+        with ResultStore(tmp_path / "children.sqlite") as store:
+            SweepRunner(store, jobs=2).run(definition)
+            children_resume = SweepRunner(store, jobs=2).run(definition)
+        assert children_resume.skipped == children_resume.total > 0
+        assert children_resume.summary() == serial_resume.summary()
+
+    def test_sigkilled_child_cell_is_rerun_well_under_the_lease(self, tmp_path):
+        """A child SIGKILLed mid-cell: its claim goes back at once, not after lease_s."""
+        spec = RunSpec(protocol="drr-gossip", params={"n": 4096}, backend="engine", seed=7)
+        cells = cells_from_run_specs([spec, spec.with_seed(8)])
+        path = tmp_path / "r.sqlite"
+        victims: list[int] = []
+
+        def kill_one_child() -> None:
+            with ResultStore(path) as watcher:
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline and not victims:
+                    owners = {c["owner"] for c in watcher.claims()}
+                    for child in multiprocessing.active_children():
+                        if child.name in owners:
+                            victims.append(child.pid)
+                            os.kill(child.pid, signal.SIGKILL)
+                            return
+                    time.sleep(0.02)
+
+        with ResultStore(path) as store:
+            killer = threading.Thread(target=kill_one_child)
+            killer.start()
+            start = time.monotonic()
+            report = SweepRunner(store, jobs=2, lease_s=60.0).run_cells(cells)
+            wall = time.monotonic() - start
+            killer.join()
+            assert victims, "no child was caught mid-cell"
+            assert report.executed == 2 and report.failed == 0
+            assert wall < 30.0  # far below the 60 s lease a reclaim would need
+            attempts = sorted(row.attempt for row in store.queue_cells())
+            assert attempts == [1, 2]  # the killed claim was re-run once
+            assert all(row.state == "done" for row in store.queue_cells())
+            assert all(run.ok for run in store.query())
+
+    def test_cell_that_kills_its_worker_becomes_one_failure_row(
+        self, tmp_path, fork_only_experiments
+    ):
+        definition = SweepDefinition(
+            name="poison",
+            seed=2,
+            repetitions=1,
+            plans=(
+                ExperimentPlan(experiment="test-poison", grid={}),
+                ExperimentPlan(experiment="ablation", grid={"n": [48, 64], "repetitions": 1}),
+            ),
+        )
+        cells = expand_cells(definition, fork_only_experiments)
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            report = SweepRunner(
+                store, jobs=2, max_attempts=2, registry=fork_only_experiments
+            ).run(definition)
+            assert report.total == len(cells) == 3
+            assert report.executed == 2 and report.failed == 1
+            (failure,) = store.query(status="failed")
+            assert failure.experiment == "test-poison"
+            assert "gave up after 2 claim(s)" in failure.error
+            assert {run.experiment for run in store.query(status="ok")} == {"ablation"}
+            states = {row.experiment: row.state for row in store.queue_cells()}
+            assert states == {"test-poison": "failed", "ablation": "done"}
+
+    def test_claims_of_another_worker_are_awaited(self, tmp_path, fork_only_experiments):
+        """The sweep waits for a cell another worker holds instead of re-running it."""
+        definition = SweepDefinition(
+            name="slow", seed=1, repetitions=1,
+            plans=(ExperimentPlan(experiment="test-slow", grid={"seconds": [1.0]}),),
+        )
+        (cell,) = expand_cells(definition, fork_only_experiments)
+        path = tmp_path / "r.sqlite"
+        with ResultStore(path) as store:
+            _enqueue(store, [cell])
+            other = threading.Thread(
+                target=lambda: QueueWorker(
+                    ResultStore(path, check_same_thread=False), worker_id="other-host",
+                    poll_interval_s=0.05,
+                ).drain()
+            )
+            other.start()
+            deadline = time.monotonic() + 30
+            while not store.claims() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            report = SweepRunner(store, jobs=2, registry=fork_only_experiments).run(definition)
+            other.join()
+            assert report.executed == 1 and report.failed == 0
+            (row,) = store.queue_cells()
+            assert row.state == "done" and row.attempt == 1 and row.owner == "other-host"
 
     def test_duplicate_specs_collapse_to_one_execution(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))
@@ -433,30 +634,21 @@ class TestQueueBackendRunner:
     def test_queue_backend_dedups_before_enqueueing(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
         with ResultStore(tmp_path / "r.sqlite") as store:
-            report = SweepRunner(store, jobs=1, backend="queue").run_cells(
-                cells + [cells[0]]
-            )
+            report = SweepRunner(store, jobs=1).run_cells(cells + [cells[0]])
             assert report.executed == 1
             assert report.cached == 1
             assert store.queue_depth()["done"] == 1
 
-    def test_memory_store_rejected_for_multiprocess_queue(self):
+    def test_memory_store_rejected_for_child_workers(self):
         with ResultStore(":memory:") as store:
-            runner = SweepRunner(store, jobs=2, backend="queue")
+            runner = SweepRunner(store, jobs=2)
             with pytest.raises(ValueError, match="file-backed"):
                 runner.run(_tiny_definition(reps=1))
 
-    def test_memory_store_fine_for_inprocess_queue(self):
+    def test_memory_store_fine_for_inprocess_drain(self):
         with ResultStore(":memory:") as store:
-            report = SweepRunner(store, jobs=1, backend="queue").run(
-                _tiny_definition(reps=1)
-            )
+            report = SweepRunner(store, jobs=1).run(_tiny_definition(reps=1))
             assert report.executed == report.total > 0
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite") as store:
-            with pytest.raises(ValueError, match="unknown execution backend"):
-                SweepRunner(store, backend="slurm")
 
     def test_invalid_queue_knobs_rejected(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
@@ -502,7 +694,7 @@ class TestDistributedWorkers:
 
         Unlike the SIGKILL case below, no lease has to expire — the
         worker's signal handler requeues the in-flight cell (pending,
-        no owner, heartbeat row deleted) and the process exits 0.
+        no owner, lease cleared) and the process exits 0.
         """
         path = tmp_path / "r.sqlite"
         # ~1.4s of engine simulation: a window wide enough to SIGTERM into
@@ -532,7 +724,7 @@ class TestDistributedWorkers:
                 assert row.state == "pending"
                 assert row.owner is None
                 assert row.attempt == 1  # the claim is spent, not the budget
-                assert store.heartbeats() == []  # liveness row released too
+                assert store.claims() == []  # the lease went with the claim
                 assert store.query() == []  # nothing half-recorded
         finally:
             if victim.poll() is None:
@@ -654,7 +846,7 @@ class TestQueueCLI:
         store = str(tmp_path / "r.sqlite")
         sweep_argv = [
             "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "2",
-            "--seed", "11", "--store", store, "--exec", "queue", "--enqueue-only",
+            "--seed", "11", "--store", store, "--enqueue-only",
         ]
         assert main(sweep_argv) == 0
         out = capsys.readouterr().out
@@ -668,19 +860,24 @@ class TestQueueCLI:
         assert "ablation" in out
         assert "stale" not in out  # nothing claimed, nothing stale
         # a re-submitted sweep skips everything without touching the queue
-        assert main(sweep_argv[:-1]) == 0  # drop --enqueue-only: full queue run
+        assert main(sweep_argv[:-1]) == 0  # drop --enqueue-only: full run
         out = capsys.readouterr().out
         assert "0 executed, 2 skipped, 0 failed" in out
 
-    def test_enqueue_only_requires_queue_exec(self, tmp_path, capsys):
+    def test_enqueue_only_skips_completed_and_duplicate_cells(self, tmp_path, capsys):
         from repro.harness.cli import main
 
-        code = main([
-            "sweep", "--experiments", "ablation", "--ns", "64",
-            "--store", str(tmp_path / "r.sqlite"), "--enqueue-only",
-        ])
-        assert code == 2
-        assert "--enqueue-only requires --exec queue" in capsys.readouterr().err
+        store = str(tmp_path / "r.sqlite")
+        sweep_argv = [
+            "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "2",
+            "--seed", "11", "--store", store,
+        ]
+        assert main(sweep_argv + ["--reps", "1"]) == 0  # completes the first seed
+        capsys.readouterr()
+        assert main(sweep_argv + ["--enqueue-only"]) == 0
+        out = capsys.readouterr().out
+        assert "enqueued 1 of 2 cell(s) (1 already completed, 0 duplicate specs)" in out
+        assert "1 pending" in out
 
     def test_worker_without_store_errors(self, tmp_path, capsys):
         from repro.harness.cli import main
@@ -702,13 +899,13 @@ class TestQueueCLI:
         assert "stale claims" in out
         assert "dead-worker" in out
 
-    def test_sweep_exec_queue_with_worker_processes(self, tmp_path, capsys):
+    def test_sweep_jobs2_drains_with_child_workers(self, tmp_path, capsys):
         from repro.harness.cli import main
 
         store = str(tmp_path / "r.sqlite")
         assert main([
             "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "2",
-            "--seed", "11", "--store", store, "--exec", "queue", "--jobs", "2",
+            "--seed", "11", "--store", store, "--jobs", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "2 executed, 0 skipped, 0 failed" in out
@@ -723,7 +920,7 @@ class TestQueueCLI:
         events = tmp_path / "events.jsonl"
         assert main([
             "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "1",
-            "--seed", "3", "--store", store, "--exec", "queue", "--enqueue-only",
+            "--seed", "3", "--store", store, "--enqueue-only",
         ]) == 0
         capsys.readouterr()
         assert main([
